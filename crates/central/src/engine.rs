@@ -1959,14 +1959,17 @@ impl Node<CentralMsg> for Engine {
         // the simulator releases the handler's buffered sends.
         self.clock = ctx.now;
         self.delivered_msgs += 1;
-        let payload = msg.to_bytes().to_vec();
+        let input = DbOp::EngineInput {
+            from: from.0,
+            payload: msg.to_bytes().to_vec(),
+        };
         self.wal
-            .append_nosync(&DbOp::EngineInput {
-                from: from.0,
-                payload: payload.clone(),
-            })
+            .append_nosync(&input)
             .expect("in-memory WAL append cannot fail");
-        self.ingest_cmd(from.0, &msg, &payload);
+        let DbOp::EngineInput { payload, .. } = &input else {
+            unreachable!("built as EngineInput above")
+        };
+        self.ingest_cmd(from.0, &msg, payload);
         self.handle(from, msg, ctx);
         self.wal.flush().expect("in-memory WAL flush cannot fail");
     }

@@ -96,8 +96,6 @@ struct InstState {
     /// in this set is a fresh occurrence (e.g. a loop iteration) and must
     /// execute, never "reuse".
     revisit_pending: BTreeSet<StepId>,
-    /// Pending-rule first-seen times (for the poll timeout).
-    pending_since: BTreeMap<RuleId, u64>,
     /// Steps designated at another agent whose packet we hold but whose
     /// `step.done` has not appeared: step → first-seen time. The alternate
     /// eligible agent is the natural stall detector — it is the only node
@@ -478,16 +476,19 @@ impl DistAgent {
         }
         self.nav_load(ctx);
 
-        // Merge data (persisting each write).
-        let writes: Vec<(ItemKey, Value)> =
-            packet.data.iter().map(|(k, v)| (*k, v.clone())).collect();
-        for (key, value) in writes {
+        // Merge data, persisting only the items that change: the volatile
+        // `data` and the AGDB projection move together at every write site,
+        // so an item already equal locally is already equal in the AGDB.
+        for (key, value) in packet.data.iter() {
+            if self.inst(instance).data.get(key) == Some(value) {
+                continue;
+            }
             self.log(DbOp::DataWritten {
                 instance,
-                key,
+                key: *key,
                 value: value.clone(),
             });
-            self.inst(instance).data.set(key, value);
+            self.inst(instance).data.set(*key, value.clone());
         }
         // Merge events by generation (idempotent across the broadcast,
         // fresh occurrences re-trigger rules).
@@ -575,8 +576,7 @@ impl DistAgent {
                 if st.aborted {
                     return;
                 }
-                let data = st.data.clone();
-                st.rules.fire_ready(&data)
+                st.rules.fire_ready(&st.data)
             };
             if firings.is_empty() {
                 break;
@@ -602,7 +602,6 @@ impl DistAgent {
                 }
             }
         }
-        self.refresh_pending_ages(instance, ctx.now);
     }
 
     fn request_mutex(
@@ -2414,16 +2413,6 @@ impl DistAgent {
         if self.shared.config.enable_status_polling && !self.poll_armed {
             self.poll_armed = true;
             ctx.set_timer(self.shared.config.poll_period, TIMER_POLL);
-        }
-    }
-
-    fn refresh_pending_ages(&mut self, instance: InstanceId, now: u64) {
-        let st = self.inst(instance);
-        let pending: BTreeMap<RuleId, Vec<EventKind>> =
-            st.rules.pending_rules().into_iter().collect();
-        st.pending_since.retain(|id, _| pending.contains_key(id));
-        for id in pending.keys() {
-            st.pending_since.entry(*id).or_insert(now);
         }
     }
 

@@ -660,6 +660,7 @@ impl<M: Clone> Endpoint<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crew_storage::LogStore;
 
     fn endpoint() -> Endpoint<u64> {
         Endpoint::new(
@@ -911,5 +912,39 @@ mod tests {
         assert_eq!(ep.stage(NodeId(2), 999, 50), 101, "seqs never restart");
         let o = ep.on_data(NodeId(4), 1, 41);
         assert!(o.duplicate, "delivery cursor survived the checkpoint");
+    }
+
+    #[test]
+    fn channel_records_frame_as_len_crc_payload() {
+        let records: Vec<ChanRec<u64>> = vec![
+            ChanRec::Sent {
+                to: NodeId(2),
+                seq: 7,
+                payload: 41,
+            },
+            ChanRec::Acked {
+                peer: NodeId(2),
+                cum: 7,
+            },
+            ChanRec::Delivered {
+                peer: NodeId(4),
+                cum: 3,
+            },
+            ChanRec::Checkpoint {
+                next_seq: vec![(NodeId(2), 8), (NodeId(5), 1)],
+                delivered: vec![(NodeId(4), 3)],
+            },
+        ];
+        let mut wal: Wal<ChanRec<u64>> = Wal::in_memory();
+        let mut expected = Vec::new();
+        for rec in &records {
+            wal.append_nosync(rec).unwrap();
+            let payload = rec.to_bytes();
+            expected.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            expected.extend_from_slice(&crew_storage::crc32(&payload).to_le_bytes());
+            expected.extend_from_slice(&payload);
+        }
+        assert_eq!(wal.store_mut().read_all().unwrap(), expected);
+        assert_eq!(wal.recover().unwrap(), records);
     }
 }

@@ -417,15 +417,13 @@ impl<M: Classify + Clone + std::fmt::Debug + Send + 'static> Simulation<M> {
         let wf = *wire;
         if t.plan.partitioned(from, to, self.now) {
             self.metrics.transport.partition_drops += 1;
-            if self.trace.is_on() {
-                self.trace.record(TraceEntry {
-                    at: self.now,
-                    from,
-                    to,
-                    kind: crate::trace::NET_CUT,
-                    detail: format!("frame {wf} lost to partition"),
-                });
-            }
+            self.trace.record_with(|| TraceEntry {
+                at: self.now,
+                from,
+                to,
+                kind: crate::trace::NET_CUT,
+                detail: format!("frame {wf} lost to partition"),
+            });
             return;
         }
         if t.plan.drops(from, to, wf) {
@@ -433,43 +431,37 @@ impl<M: Classify + Clone + std::fmt::Debug + Send + 'static> Simulation<M> {
             if matches!(frame, Frame::Data { .. }) {
                 self.metrics.transport.data_drops_injected += 1;
             }
-            if self.trace.is_on() {
-                self.trace.record(TraceEntry {
-                    at: self.now,
-                    from,
-                    to,
-                    kind: crate::trace::NET_DROP,
-                    detail: format!("frame {wf} dropped"),
-                });
-            }
+            self.trace.record_with(|| TraceEntry {
+                at: self.now,
+                from,
+                to,
+                kind: crate::trace::NET_DROP,
+                detail: format!("frame {wf} dropped"),
+            });
             return;
         }
         let extra = t.plan.reorder_delay(from, to, wf);
         if extra > 0 {
             self.metrics.transport.reorders_injected += 1;
-            if self.trace.is_on() {
-                self.trace.record(TraceEntry {
-                    at: self.now,
-                    from,
-                    to,
-                    kind: crate::trace::NET_REORDER,
-                    detail: format!("frame {wf} held back {extra}"),
-                });
-            }
+            self.trace.record_with(|| TraceEntry {
+                at: self.now,
+                from,
+                to,
+                kind: crate::trace::NET_REORDER,
+                detail: format!("frame {wf} held back {extra}"),
+            });
         }
         let dup = t.plan.duplicates(from, to, wf);
         let lat = self.latency.sample(self.seed, from, to, self.seq).max(1) + extra;
         if dup {
             self.metrics.transport.dups_injected += 1;
-            if self.trace.is_on() {
-                self.trace.record(TraceEntry {
-                    at: self.now,
-                    from,
-                    to,
-                    kind: crate::trace::NET_DUP,
-                    detail: format!("frame {wf} duplicated"),
-                });
-            }
+            self.trace.record_with(|| TraceEntry {
+                at: self.now,
+                from,
+                to,
+                kind: crate::trace::NET_DUP,
+                detail: format!("frame {wf} duplicated"),
+            });
             self.push(
                 self.now + lat,
                 EventKind::Frame {
@@ -528,15 +520,13 @@ impl<M: Classify + Clone + std::fmt::Debug + Send + 'static> Simulation<M> {
                 let outcome = t.endpoint_mut(to).on_data(from, seq, payload);
                 if outcome.duplicate {
                     self.metrics.transport.dup_suppressed += 1;
-                    if self.trace.is_on() {
-                        self.trace.record(TraceEntry {
-                            at: self.now,
-                            from,
-                            to,
-                            kind: crate::trace::NET_DUP_SUPPRESSED,
-                            detail: format!("seq {seq} suppressed"),
-                        });
-                    }
+                    self.trace.record_with(|| TraceEntry {
+                        at: self.now,
+                        from,
+                        to,
+                        kind: crate::trace::NET_DUP_SUPPRESSED,
+                        detail: format!("seq {seq} suppressed"),
+                    });
                 }
                 // Every data frame (fresh or duplicate) is cumulatively
                 // acked so the sender can trim and stop retransmitting.
@@ -566,15 +556,13 @@ impl<M: Classify + Clone + std::fmt::Debug + Send + 'static> Simulation<M> {
         let due = t.endpoint_mut(node).due_retransmits(self.now);
         for (peer, seq, msg) in due {
             self.metrics.transport.retransmissions += 1;
-            if self.trace.is_on() {
-                self.trace.record(TraceEntry {
-                    at: self.now,
-                    from: node,
-                    to: peer,
-                    kind: crate::trace::NET_RETRANSMIT,
-                    detail: format!("seq {seq} retransmitted"),
-                });
-            }
+            self.trace.record_with(|| TraceEntry {
+                at: self.now,
+                from: node,
+                to: peer,
+                kind: crate::trace::NET_RETRANSMIT,
+                detail: format!("seq {seq} retransmitted"),
+            });
             self.transmit(
                 &mut t,
                 node,
@@ -715,15 +703,13 @@ impl<M: Classify + Clone + std::fmt::Debug + Send + 'static> Simulation<M> {
                 // A genuinely out-of-range destination is a deployment
                 // bug: count it and leave a trace instead of vanishing.
                 self.metrics.transport.misaddressed += 1;
-                if self.trace.is_on() {
-                    self.trace.record(TraceEntry {
-                        at: self.now,
-                        from,
-                        to,
-                        kind: crate::trace::NET_MISADDRESSED,
-                        detail: format!("{msg:?}"),
-                    });
-                }
+                self.trace.record_with(|| TraceEntry {
+                    at: self.now,
+                    from,
+                    to,
+                    kind: crate::trace::NET_MISADDRESSED,
+                    detail: format!("{msg:?}"),
+                });
             }
             return;
         };
@@ -767,7 +753,7 @@ impl<M: Classify + Clone + std::fmt::Debug + Send + 'static> Simulation<M> {
                 to,
             );
         }
-        self.trace.record(TraceEntry {
+        self.trace.record_with(|| TraceEntry {
             at: self.now,
             from,
             to,
@@ -1257,5 +1243,171 @@ mod tests {
         assert_eq!(run(3).0, 5, "faults never change the logical count");
         assert_eq!(run(3).3, 3);
         assert_eq!(run(9).0, 5);
+    }
+
+    thread_local! {
+        /// `Debug` renderings of [`Loud`] messages on this thread.
+        static RENDERS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A message that counts every `Debug` rendering of itself, so a test
+    /// can see whether the simulator formatted it.
+    #[derive(Clone)]
+    struct Loud(u32);
+
+    impl std::fmt::Debug for Loud {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            RENDERS.with(|r| r.set(r.get() + 1));
+            write!(f, "Loud({})", self.0)
+        }
+    }
+
+    impl Classify for Loud {
+        fn kind(&self) -> &'static str {
+            "Loud"
+        }
+        fn mechanism(&self) -> Mechanism {
+            Mechanism::Normal
+        }
+        fn instance(&self) -> Option<crew_model::InstanceId> {
+            None
+        }
+    }
+
+    impl Encode for Loud {
+        fn encode(&self, buf: &mut BytesMut) {
+            self.0.encode(buf);
+        }
+    }
+    impl Decode for Loud {
+        fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
+            Ok(Loud(u32::decode(buf)?))
+        }
+    }
+
+    /// Bounces `Loud(n)` back as `Loud(n - 1)` until zero. With a peer it
+    /// opens the rally on start; `wild` adds one message to a node outside
+    /// the deployment.
+    struct Rally {
+        peer: Option<NodeId>,
+        wild: bool,
+    }
+    impl Node<Loud> for Rally {
+        fn on_start(&mut self, ctx: &mut Ctx<Loud>) {
+            if let Some(p) = self.peer {
+                ctx.send(p, Loud(6));
+            }
+            if self.wild {
+                ctx.send(NodeId(99), Loud(0));
+            }
+        }
+        fn on_message(&mut self, from: NodeId, Loud(n): Loud, ctx: &mut Ctx<Loud>) {
+            if n > 0 {
+                ctx.send(from, Loud(n - 1));
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    /// Run a rally; returns the `Debug` renderings it caused and the trace
+    /// rendered one line per entry.
+    fn rally(plan: Option<NetFaultPlan>, traced: bool) -> (usize, Vec<String>) {
+        RENDERS.with(|r| r.set(0));
+        let mut sim = Simulation::new(3);
+        if traced {
+            sim.enable_trace();
+        }
+        let wild = plan.is_none();
+        let b = sim.add_node(Rally { peer: None, wild });
+        sim.add_node(Rally {
+            peer: Some(b),
+            wild: false,
+        });
+        if let Some(plan) = plan {
+            sim.enable_net_faults(plan);
+        }
+        sim.run();
+        assert!(sim.is_quiescent());
+        let lines = sim
+            .trace
+            .entries()
+            .iter()
+            .map(|e| format!("{e} {}", e.detail))
+            .collect();
+        (RENDERS.with(|r| r.get()), lines)
+    }
+
+    /// Drops, duplicates, reorders and a partition: every `!net-*` kind.
+    fn lossy() -> NetFaultPlan {
+        NetFaultPlan::probabilistic(11, 0.2, 0.2, 0.2).cut(NodeId(1), NodeId(0), 0, 1)
+    }
+
+    /// The traced rally over the default path: one entry per delivered
+    /// message plus the misaddressed one.
+    const RALLY_DEFAULT: &[&str] = &[
+        "[t=    1] n0 -> n99: !misaddressed Loud(0)",
+        "[t=    2] n1 -> n0: Loud Loud(6)",
+        "[t=    5] n0 -> n1: Loud Loud(5)",
+        "[t=    9] n1 -> n0: Loud Loud(4)",
+        "[t=   12] n0 -> n1: Loud Loud(3)",
+        "[t=   13] n1 -> n0: Loud Loud(2)",
+        "[t=   17] n0 -> n1: Loud Loud(1)",
+        "[t=   21] n1 -> n0: Loud Loud(0)",
+    ];
+
+    /// The traced rally over reliable channels under [`lossy`].
+    const RALLY_LOSSY: &[&str] = &[
+        "[t=    0] n1 -> n0: !net-cut frame 1 lost to partition",
+        "[t=   16] n1 -> n0: !net-retransmit seq 1 retransmitted",
+        "[t=   16] n1 -> n0: !net-reorder frame 2 held back 4",
+        "[t=   16] n1 -> n0: !net-dup frame 2 duplicated",
+        "[t=   20] n1 -> n0: Loud Loud(6)",
+        "[t=   20] n0 -> n1: !net-dup frame 2 duplicated",
+        "[t=   22] n1 -> n0: !net-dup-suppressed seq 1 suppressed",
+        "[t=   22] n1 -> n0: !net-reorder frame 3 held back 3",
+        "[t=   22] n0 -> n1: Loud Loud(5)",
+        "[t=   24] n0 -> n1: !net-dup-suppressed seq 1 suppressed",
+        "[t=   26] n0 -> n1: !net-drop frame 4 dropped",
+        "[t=   26] n1 -> n0: Loud Loud(4)",
+        "[t=   26] n0 -> n1: !net-dup frame 5 duplicated",
+        "[t=   27] n0 -> n1: Loud Loud(3)",
+        "[t=   27] n1 -> n0: !net-drop frame 7 dropped",
+        "[t=   28] n0 -> n1: !net-dup-suppressed seq 2 suppressed",
+        "[t=   39] n1 -> n0: !net-retransmit seq 2 retransmitted",
+        "[t=   39] n1 -> n0: !net-retransmit seq 3 retransmitted",
+        "[t=   39] n1 -> n0: !net-reorder frame 10 held back 2",
+        "[t=   42] n1 -> n0: !net-dup-suppressed seq 2 suppressed",
+        "[t=   42] n0 -> n1: !net-reorder frame 6 held back 6",
+        "[t=   42] n1 -> n0: Loud Loud(2)",
+        "[t=   42] n0 -> n1: !net-drop frame 8 dropped",
+        "[t=   58] n0 -> n1: !net-retransmit seq 3 retransmitted",
+        "[t=   58] n0 -> n1: !net-dup frame 9 duplicated",
+        "[t=   59] n1 -> n0: !net-drop frame 11 dropped",
+        "[t=   59] n0 -> n1: Loud Loud(1)",
+        "[t=   59] n1 -> n0: !net-dup frame 12 duplicated",
+        "[t=   60] n0 -> n1: !net-drop frame 10 dropped",
+        "[t=   60] n1 -> n0: Loud Loud(0)",
+        "[t=   61] n0 -> n1: !net-dup-suppressed seq 3 suppressed",
+        "[t=   61] n1 -> n0: !net-reorder frame 13 held back 2",
+        "[t=   61] n1 -> n0: !net-dup-suppressed seq 4 suppressed",
+    ];
+
+    #[test]
+    fn disabled_trace_never_renders_a_message() {
+        assert_eq!(rally(None, false), (0, vec![]));
+        assert_eq!(rally(Some(lossy()), false), (0, vec![]));
+    }
+
+    #[test]
+    fn enabled_trace_renders_each_delivered_message_once() {
+        let (renders, lines) = rally(None, true);
+        assert_eq!(lines, RALLY_DEFAULT);
+        assert_eq!(renders, RALLY_DEFAULT.len());
+        let (renders, lines) = rally(Some(lossy()), true);
+        assert_eq!(lines, RALLY_LOSSY);
+        let delivered = RALLY_LOSSY.iter().filter(|l| l.contains(": Loud ")).count();
+        assert_eq!(renders, delivered);
     }
 }

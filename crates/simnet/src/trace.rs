@@ -68,16 +68,11 @@ impl Trace {
         Trace::default()
     }
 
-    /// `true` when recording — lets callers skip building detail strings
-    /// for traces that would be discarded.
-    pub fn is_on(&self) -> bool {
-        self.enabled
-    }
-
-    /// The recorded execution of `step`, if any.
-    pub fn record(&mut self, entry: TraceEntry) {
+    /// Append the entry `make` builds, calling it only when recording, so
+    /// a disabled trace never renders a detail string.
+    pub fn record_with(&mut self, make: impl FnOnce() -> TraceEntry) {
         if self.enabled {
-            self.entries.push(entry);
+            self.entries.push(make());
         }
     }
 
@@ -119,16 +114,16 @@ mod tests {
     #[test]
     fn disabled_trace_records_nothing() {
         let mut t = Trace::disabled();
-        t.record(entry("X"));
+        t.record_with(|| unreachable!("a disabled trace builds no entry"));
         assert!(t.is_empty());
     }
 
     #[test]
     fn enabled_trace_collects_and_filters() {
         let mut t = Trace::enabled();
-        t.record(entry("StepExecute"));
-        t.record(entry("HaltThread"));
-        t.record(entry("StepExecute"));
+        t.record_with(|| entry("StepExecute"));
+        t.record_with(|| entry("HaltThread"));
+        t.record_with(|| entry("StepExecute"));
         assert_eq!(t.len(), 3);
         assert_eq!(t.of_kind("StepExecute").count(), 2);
         assert_eq!(

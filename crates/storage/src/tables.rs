@@ -385,6 +385,48 @@ impl AgentDb {
     }
 }
 
+/// One record of every [`DbOp`] variant, for codec and framing tests.
+#[cfg(test)]
+pub(crate) fn sample_ops() -> Vec<DbOp> {
+    let instance = InstanceId::new(SchemaId(1), 1);
+    vec![
+        DbOp::InstanceCreated { instance },
+        DbOp::DataWritten {
+            instance,
+            key: ItemKey::output(StepId(2), 1),
+            value: Value::Int(45),
+        },
+        DbOp::StepOutputsCleared {
+            instance,
+            step: StepId(2),
+        },
+        DbOp::EventPosted {
+            instance,
+            code: "S2.D".into(),
+        },
+        DbOp::EventInvalidated {
+            instance,
+            code: "S2.D".into(),
+        },
+        DbOp::StepRecorded {
+            instance,
+            step: StepId(2),
+            state: StoredStepState::Done,
+            attempt: 2,
+            outputs: vec![Value::Str("Gasket".into())],
+        },
+        DbOp::StatusChanged {
+            instance,
+            status: InstanceStatus::Committed,
+        },
+        DbOp::InstancePurged { instance },
+        DbOp::EngineInput {
+            from: u32::MAX,
+            payload: vec![0, 1, 2, 255],
+        },
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,43 +438,7 @@ mod tests {
 
     #[test]
     fn ops_round_trip_through_codec() {
-        let ops = vec![
-            DbOp::InstanceCreated { instance: inst(1) },
-            DbOp::DataWritten {
-                instance: inst(1),
-                key: ItemKey::output(StepId(2), 1),
-                value: Value::Int(45),
-            },
-            DbOp::StepOutputsCleared {
-                instance: inst(1),
-                step: StepId(2),
-            },
-            DbOp::EventPosted {
-                instance: inst(1),
-                code: "S2.D".into(),
-            },
-            DbOp::EventInvalidated {
-                instance: inst(1),
-                code: "S2.D".into(),
-            },
-            DbOp::StepRecorded {
-                instance: inst(1),
-                step: StepId(2),
-                state: StoredStepState::Done,
-                attempt: 2,
-                outputs: vec![Value::Str("Gasket".into())],
-            },
-            DbOp::StatusChanged {
-                instance: inst(1),
-                status: InstanceStatus::Committed,
-            },
-            DbOp::InstancePurged { instance: inst(1) },
-            DbOp::EngineInput {
-                from: u32::MAX,
-                payload: vec![0, 1, 2, 255],
-            },
-        ];
-        for op in &ops {
+        for op in &sample_ops() {
             let mut bytes = op.to_bytes();
             assert_eq!(&DbOp::decode(&mut bytes).unwrap(), op);
         }

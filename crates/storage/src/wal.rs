@@ -110,6 +110,13 @@ impl LogStore for FileStore {
     }
 }
 
+/// Bytes of the `len | crc` header in front of every record.
+const FRAME_HEADER: usize = 8;
+
+/// Initial buffer size for a single-record frame, large enough that typical
+/// records encode without regrowing.
+const FRAME_CAPACITY: usize = 128;
+
 /// A typed write-ahead log of `R` records over any [`LogStore`].
 ///
 /// ```
@@ -148,11 +155,16 @@ impl<R: Encode + Decode, S: LogStore> Wal<R, S> {
         }
     }
 
+    /// Append one `len | crc | payload` frame to `frame` in a single pass:
+    /// reserve the header, encode the payload straight after it, then
+    /// patch the header in place.
     fn encode_frame(record: &R, frame: &mut BytesMut) {
-        let payload = record.to_bytes();
-        frame.put_u32_le(payload.len() as u32);
-        frame.put_u32_le(crc32(&payload));
-        frame.put_slice(&payload);
+        let start = frame.len();
+        frame.put_slice(&[0; FRAME_HEADER]);
+        record.encode(frame);
+        let (header, payload) = frame[start..].split_at_mut(FRAME_HEADER);
+        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
     }
 
     /// Append one record durably (one flush per record).
@@ -167,7 +179,7 @@ impl<R: Encode + Decode, S: LogStore> Wal<R, S> {
     /// flushes once per delivered message, before its outputs leave the
     /// node.
     pub fn append_nosync(&mut self, record: &R) -> std::io::Result<()> {
-        let mut frame = BytesMut::new();
+        let mut frame = BytesMut::with_capacity(FRAME_CAPACITY);
         Self::encode_frame(record, &mut frame);
         self.store.append(&frame)?;
         self.appended += 1;
@@ -337,6 +349,7 @@ impl std::error::Error for WalError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tables::{sample_ops, DbOp};
     use crew_model::{InstanceId, SchemaId, Value};
 
     #[derive(Debug, Clone, PartialEq)]
@@ -488,6 +501,56 @@ mod tests {
             batched.store_mut().read_all().unwrap(),
             "group commit changes flush boundaries, never the log bytes"
         );
+    }
+
+    /// `len_le ‖ crc32(payload)_le ‖ payload`, built in two passes from
+    /// `to_bytes()`: the layout the single-pass framing must reproduce.
+    fn reference_frame(record: &impl Encode) -> Vec<u8> {
+        let payload = record.to_bytes();
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        frame
+    }
+
+    /// Every `DbOp` variant, plus one whose payload outgrows the initial
+    /// frame buffer.
+    fn golden_ops() -> Vec<DbOp> {
+        let mut ops = sample_ops();
+        ops.push(DbOp::EngineInput {
+            from: 3,
+            payload: (0..=255).cycle().take(4 * FRAME_CAPACITY).collect(),
+        });
+        ops
+    }
+
+    #[test]
+    fn single_pass_frames_match_reference_framing() {
+        for op in golden_ops() {
+            let mut wal: Wal<DbOp> = Wal::in_memory();
+            wal.append(&op).unwrap();
+            assert_eq!(
+                wal.store_mut().read_all().unwrap(),
+                reference_frame(&op),
+                "{op:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn mixed_append_modes_round_trip() {
+        let ops = golden_ops();
+        let mut wal: Wal<DbOp> = Wal::in_memory();
+        wal.append(&ops[0]).unwrap();
+        wal.append_nosync(&ops[1]).unwrap();
+        wal.append_nosync(&ops[2]).unwrap();
+        wal.flush().unwrap();
+        assert_eq!(wal.append_batch(&ops[3..7]).unwrap(), 4);
+        wal.append(&ops[7]).unwrap();
+        assert_eq!(wal.append_batch(&ops[8..]).unwrap(), ops.len() - 8);
+        let expected: Vec<u8> = ops.iter().flat_map(reference_frame).collect();
+        assert_eq!(wal.store_mut().read_all().unwrap(), expected);
+        assert_eq!(wal.recover().unwrap(), ops);
     }
 
     #[test]

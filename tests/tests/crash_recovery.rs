@@ -7,8 +7,11 @@
 //! across the outage).
 
 use crew_core::{Architecture, CrashWindow, Scenario, WorkflowSystem};
+use crew_distributed::DistRun;
 use crew_integration_tests::{linear_logged_schema, ExecLog};
-use crew_model::{AgentId, SchemaBuilder, SchemaId, StepKind, Value};
+use crew_model::{
+    AgentId, InstanceId, ItemKey, ReexecPolicy, SchemaBuilder, SchemaId, StepId, StepKind, Value,
+};
 use crew_storage::{AgentDb, DbOp, InstanceStatus, Wal};
 
 /// A successor agent is down when the packet arrives: the persistent
@@ -169,6 +172,130 @@ fn agent_recovers_state_from_wal() {
         .history_of(inst)
         .expect("instance state rebuilt");
     assert_eq!(history.state(s1), crew_exec::StepState::Done);
+}
+
+/// Crash seed, overridable via `CREW_CHAOS_SEED` (CI sweeps a second one).
+fn chaos_seed(default: u64) -> u64 {
+    match std::env::var("CREW_CHAOS_SEED") {
+        Ok(s) => s.parse().expect("CREW_CHAOS_SEED must be a u64"),
+        Err(_) => default,
+    }
+}
+
+/// Per-step execution counts plus terminal outcomes of one run.
+type FleetResult = (
+    std::collections::BTreeMap<(InstanceId, StepId), usize>,
+    std::collections::BTreeMap<InstanceId, crew_distributed::Outcome>,
+);
+
+/// Run a distributed fleet that writes agent data through packets, step
+/// execution, compensation, an input change and crash recovery, then
+/// check that each agent's AGDB data table equals its volatile `DataEnv`
+/// for every instance.
+///
+/// Instance 1 (agents 0–3, two eligible per step) has its input changed
+/// mid-flight, rolling back to the consumer. Instance 2 (agents 4–6,
+/// starting once instance 1 is done) fails at C, compensates the
+/// dependent set {A, B} and re-executes from A. With `crash_seed`, one of
+/// agents 4–6 crashes at a seed-chosen tick during instance 2 and
+/// recovers 20 ticks later.
+fn run_write_site_fleet(crash_seed: Option<u64>) -> FleetResult {
+    let log = ExecLog::new();
+    let mut b = SchemaBuilder::new(SchemaId(1), "chg").inputs(1);
+    let c: Vec<StepId> = ["A", "B", "C", "D"]
+        .iter()
+        .map(|n| b.add_step(*n, "log"))
+        .collect();
+    b.seq(c[0], c[1]).seq(c[1], c[2]).seq(c[2], c[3]);
+    b.read(c[1], ItemKey::input(1));
+    for (i, s) in c.iter().enumerate() {
+        b.configure(*s, |d| {
+            d.eligible_agents = vec![AgentId(i as u32), AgentId((i as u32 + 1) % 4)];
+            d.compensation_program = Some("passthrough".into());
+        });
+    }
+    let changed = b.build().unwrap();
+
+    let mut b = SchemaBuilder::new(SchemaId(2), "rb").inputs(1);
+    let r = [
+        b.add_step("A", "log"),
+        b.add_step("B", "log"),
+        b.add_step("C", "flaky"),
+    ];
+    b.seq(r[0], r[1]).seq(r[1], r[2]);
+    b.on_failure_rollback_to(r[2], r[0]);
+    for (i, s) in r.iter().enumerate() {
+        b.configure(*s, |d| {
+            d.eligible_agents = vec![AgentId(4 + i as u32), AgentId(4 + (i as u32 + 1) % 3)];
+            d.compensation_program = Some("passthrough".into());
+            d.reexec = ReexecPolicy::Always;
+        });
+    }
+    b.compensation_set([r[0], r[1]]);
+    let rollback = b.build().unwrap();
+
+    let mut deployment = crew_exec::Deployment::new([changed, rollback]);
+    log.register(&mut deployment.registry, "log");
+    log.register_flaky(&mut deployment.registry, "flaky");
+    let mut run = DistRun::new(deployment, 7, crew_distributed::DistConfig::default());
+    let first = run.start_instance(SchemaId(1), vec![(1, Value::Int(5))]);
+    run.change_inputs_at(first, vec![(1, Value::Int(99))], 8);
+    let second = run.start_instance_at(SchemaId(2), vec![(1, Value::Int(7))], 200);
+    if let Some(seed) = crash_seed {
+        let agent = AgentId(4 + (seed % 3) as u32);
+        run.sim
+            .schedule_crash(run.directory.node_of(agent), 201 + seed % 17, Some(20));
+    }
+    run.run();
+
+    for a in 0..7 {
+        let agent = run.agent(AgentId(a));
+        let mut held = 0;
+        for &inst in run.started_instances() {
+            let volatile = agent.data_of(inst).cloned().unwrap_or_default();
+            let persisted = agent
+                .db()
+                .instance(inst)
+                .map(|t| t.data.clone())
+                .unwrap_or_default();
+            assert_eq!(
+                volatile, persisted,
+                "agent {a}, {inst}, crash {crash_seed:?}"
+            );
+            held += usize::from(volatile.iter().next().is_some());
+        }
+        assert!(held > 0, "agent {a} holds no instance data");
+    }
+
+    let counts = [(first, &c[..]), (second, &r[..])]
+        .iter()
+        .flat_map(|&(inst, steps)| steps.iter().map(move |&s| (inst, s)))
+        .map(|(inst, s)| ((inst, s), log.count(inst, s)))
+        .collect();
+    (counts, run.outcomes())
+}
+
+/// Agents journal only the packet items that change their local data;
+/// that is sound while the volatile data and the AGDB projection agree at
+/// every write site, through failure, rollback, compensation, an input
+/// change and an agent crash. The crashed run also matches its crash-free
+/// twin step for step.
+#[test]
+fn agdb_data_matches_volatile_data_across_failures_and_crash() {
+    let seed = chaos_seed(42);
+    let twin = run_write_site_fleet(None);
+    let crashed = run_write_site_fleet(Some(seed));
+    assert_eq!(crashed, twin, "crash seed {seed}");
+    let (counts, outcomes) = twin;
+    assert_eq!(outcomes.len(), 2);
+    assert!(outcomes
+        .values()
+        .all(|o| *o == crew_distributed::Outcome::Committed));
+    let runs: Vec<usize> = counts.values().copied().collect();
+    // Instance 1: A untouched, the consumer B re-ran for the change.
+    assert_eq!(runs[..2], [1, 2], "{counts:?}");
+    // Instance 2: the rollback re-executed every step.
+    assert!(runs[4..].iter().all(|&n| n >= 2), "{counts:?}");
 }
 
 /// The WAL itself: an interleaved write/crash/replay round trip at the
