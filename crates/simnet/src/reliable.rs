@@ -23,20 +23,10 @@
 //! owns all scheduling, so runs stay deterministic.
 
 use crate::node::NodeId;
-use bytes::{Bytes, BytesMut};
-use crew_storage::{CodecError, Decode, Encode, MemStore, Wal};
+use crew_storage::{Decode, Encode, MemStore, Wal};
 use std::collections::{BTreeMap, BTreeSet};
 
-impl Encode for NodeId {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
-    }
-}
-impl Decode for NodeId {
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(NodeId(u32::decode(buf)?))
-    }
-}
+crew_storage::wire! { struct NodeId(id) }
 
 /// A wire frame of the channel protocol.
 #[derive(Debug, Clone)]
@@ -119,62 +109,12 @@ pub enum ChanRec<M> {
     },
 }
 
-impl<M: Encode> Encode for ChanRec<M> {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            ChanRec::Sent { to, seq, payload } => {
-                0u8.encode(buf);
-                to.encode(buf);
-                seq.encode(buf);
-                payload.encode(buf);
-            }
-            ChanRec::Acked { peer, cum } => {
-                1u8.encode(buf);
-                peer.encode(buf);
-                cum.encode(buf);
-            }
-            ChanRec::Delivered { peer, cum } => {
-                2u8.encode(buf);
-                peer.encode(buf);
-                cum.encode(buf);
-            }
-            ChanRec::Checkpoint {
-                next_seq,
-                delivered,
-            } => {
-                3u8.encode(buf);
-                next_seq.encode(buf);
-                delivered.encode(buf);
-            }
-        }
-    }
-}
-
-impl<M: Decode> Decode for ChanRec<M> {
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        match u8::decode(buf)? {
-            0 => Ok(ChanRec::Sent {
-                to: NodeId::decode(buf)?,
-                seq: u64::decode(buf)?,
-                payload: M::decode(buf)?,
-            }),
-            1 => Ok(ChanRec::Acked {
-                peer: NodeId::decode(buf)?,
-                cum: u64::decode(buf)?,
-            }),
-            2 => Ok(ChanRec::Delivered {
-                peer: NodeId::decode(buf)?,
-                cum: u64::decode(buf)?,
-            }),
-            3 => Ok(ChanRec::Checkpoint {
-                next_seq: Vec::decode(buf)?,
-                delivered: Vec::decode(buf)?,
-            }),
-            tag => Err(CodecError::BadTag {
-                context: "ChanRec",
-                tag,
-            }),
-        }
+crew_storage::wire! {
+    enum ChanRec<M> {
+        0 => Sent { to, seq, payload },
+        1 => Acked { peer, cum },
+        2 => Delivered { peer, cum },
+        3 => Checkpoint { next_seq, delivered },
     }
 }
 

@@ -780,8 +780,6 @@ impl<M: Classify + Clone + std::fmt::Debug + Send + 'static> Simulation<M> {
 mod tests {
     use super::*;
     use crate::metrics::Mechanism;
-    use bytes::{Bytes, BytesMut};
-    use crew_storage::CodecError;
     use std::any::Any;
 
     #[derive(Debug, Clone, PartialEq)]
@@ -805,32 +803,7 @@ mod tests {
         }
     }
 
-    impl Encode for Ping {
-        fn encode(&self, buf: &mut BytesMut) {
-            match self {
-                Ping::Ping(n) => {
-                    0u8.encode(buf);
-                    n.encode(buf);
-                }
-                Ping::Pong(n) => {
-                    1u8.encode(buf);
-                    n.encode(buf);
-                }
-            }
-        }
-    }
-    impl Decode for Ping {
-        fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-            match u8::decode(buf)? {
-                0 => Ok(Ping::Ping(u32::decode(buf)?)),
-                1 => Ok(Ping::Pong(u32::decode(buf)?)),
-                tag => Err(CodecError::BadTag {
-                    context: "Ping",
-                    tag,
-                }),
-            }
-        }
-    }
+    crew_storage::wire! { enum Ping { 0 => Ping(n), 1 => Pong(n) } }
 
     /// Replies to pings until the counter runs out.
     struct Ponger {
@@ -1274,16 +1247,7 @@ mod tests {
         }
     }
 
-    impl Encode for Loud {
-        fn encode(&self, buf: &mut BytesMut) {
-            self.0.encode(buf);
-        }
-    }
-    impl Decode for Loud {
-        fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-            Ok(Loud(u32::decode(buf)?))
-        }
-    }
+    crew_storage::wire! { struct Loud(n) }
 
     /// Bounces `Loud(n)` back as `Loud(n - 1)` until zero. With a peer it
     /// opens the rally on start; `wild` adds one message to a node outside

@@ -6,13 +6,18 @@
 //! serializer backend is on the approved dependency list, and a WAL wants a
 //! compact stable format anyway.
 //!
-//! Every persisted type implements [`Encode`]/[`Decode`]; decoding is
-//! total (no panics) and reports structured [`CodecError`]s so torn or
-//! corrupt log tails are handled gracefully by recovery.
+//! Primitives and containers implement [`Encode`]/[`Decode`] by hand here;
+//! every record and message type declares its format once, as a
+//! [`wire!`](crate::wire) table. Decoding is total (no panics) and reports
+//! structured [`CodecError`]s so torn or corrupt log tails are handled
+//! gracefully by recovery.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use crew_model::{AgentId, InstanceId, ItemKey, ItemScope, SchemaId, StepId, Value};
+use crew_model::{AgentId, DataEnv, InstanceId, ItemKey, ItemScope, SchemaId, StepId, Value};
 use std::fmt;
+
+#[doc(hidden)]
+pub use bytes::{Bytes as WireBytes, BytesMut as WireBytesMut};
 
 /// Decoding failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,7 +55,7 @@ const MAX_LEN: u64 = 1 << 20;
 
 /// Serialize into a byte buffer.
 pub trait Encode {
-    /// Wrapped closure.
+    /// Append this value's wire encoding to `buf`.
     fn encode(&self, buf: &mut BytesMut);
 
     /// Convenience: encode into a fresh buffer.
@@ -63,7 +68,8 @@ pub trait Encode {
 
 /// Deserialize from a byte buffer.
 pub trait Decode: Sized {
-    /// Wrapped closure.
+    /// Read one value from the front of `buf`, consuming exactly the bytes
+    /// [`Encode::encode`] wrote for it.
     fn decode(buf: &mut Bytes) -> Result<Self, CodecError>;
 }
 
@@ -73,6 +79,149 @@ fn need(buf: &Bytes, n: usize) -> Result<(), CodecError> {
     } else {
         Ok(())
     }
+}
+
+/// Read the `u32` element count that prefixes every string and sequence,
+/// rejecting counts above the sanity cap before anything is allocated.
+pub fn decode_len(buf: &mut Bytes) -> Result<usize, CodecError> {
+    let len = u32::decode(buf)? as u64;
+    if len > MAX_LEN {
+        return Err(CodecError::LengthOverflow(len));
+    }
+    Ok(len as usize)
+}
+
+/// Declares a type's wire format once and derives [`Encode`] and
+/// [`Decode`] from it.
+///
+/// - `enum T { tag => Variant { a, b }, tag => Variant(x), tag => Variant }`
+///   writes the `u8` tag, then the fields in the order listed.
+/// - `struct T { a, b }` and `struct T(x)` write the fields, untagged.
+///
+/// Either form takes one optional type parameter (`enum T<M> { .. }`),
+/// bounded by `Encode` or `Decode` in the matching impl. A named field
+/// written `field: module` goes through `module::encode(&field, buf)` and
+/// `module::decode(buf)` instead of the traits, for foreign field types
+/// the orphan rule keeps out of this crate.
+///
+/// The table is the format: tags are append-only and never renumbered,
+/// and fields are never reordered, because WAL and channel logs outlive
+/// the binary that wrote them. Decoding an unlisted tag returns
+/// [`CodecError::BadTag`] naming `T`.
+///
+/// ```
+/// #[derive(Debug, PartialEq)]
+/// enum Shape {
+///     Dot,
+///     Line { from: u32, to: u32 },
+///     Label(String),
+/// }
+/// crew_storage::wire! { enum Shape { 0 => Dot, 1 => Line { from, to }, 2 => Label(text) } }
+///
+/// use crew_storage::{Decode, Encode};
+/// let line = Shape::Line { from: 1, to: 2 };
+/// let mut bytes = line.to_bytes();
+/// assert_eq!(&bytes[..], &[1, 1, 0, 0, 0, 2, 0, 0, 0]);
+/// assert_eq!(Shape::decode(&mut bytes), Ok(line));
+/// ```
+///
+/// A repeated tag does not compile:
+///
+/// ```compile_fail
+/// #[derive(Debug, PartialEq)]
+/// enum Shape {
+///     Dot,
+///     Line { from: u32, to: u32 },
+///     Label(String),
+/// }
+/// crew_storage::wire! { enum Shape { 0 => Dot, 1 => Line { from, to }, 1 => Label(text) } }
+/// ```
+///
+/// Nor does a variant that leaves out a field:
+///
+/// ```compile_fail
+/// #[derive(Debug, PartialEq)]
+/// enum Shape {
+///     Dot,
+///     Line { from: u32, to: u32 },
+///     Label(String),
+/// }
+/// crew_storage::wire! { enum Shape { 0 => Dot, 1 => Line { from }, 2 => Label(text) } }
+/// ```
+#[macro_export]
+macro_rules! wire {
+    (enum $ty:ident $(<$p:ident>)? {
+        $($tag:literal => $var:ident
+            $({ $($f:ident $(: $fm:ident)?),* $(,)? })?
+            $(( $($t:ident),* $(,)? ))?
+        ),+ $(,)?
+    }) => {
+        impl $(<$p: $crate::Encode>)? $crate::Encode for $ty $(<$p>)? {
+            fn encode(&self, buf: &mut $crate::codec::WireBytesMut) {
+                match self {
+                    $($ty::$var $({ $($f),* })? $(( $($t),* ))? => {
+                        let tag: u8 = $tag;
+                        $crate::Encode::encode(&tag, buf);
+                        $($($crate::wire!(@enc buf, $f $(: $fm)?);)*)?
+                        $($($crate::Encode::encode($t, buf);)*)?
+                    })+
+                }
+            }
+        }
+        impl $(<$p: $crate::Decode>)? $crate::Decode for $ty $(<$p>)? {
+            #[deny(unreachable_patterns)]
+            fn decode(
+                buf: &mut $crate::codec::WireBytes,
+            ) -> ::std::result::Result<Self, $crate::CodecError> {
+                Ok(match <u8 as $crate::Decode>::decode(buf)? {
+                    $($tag => $ty::$var
+                        $({ $($f: $crate::wire!(@dec buf, $f $(: $fm)?)),* })?
+                        $(( $($crate::wire!(@dec buf, $t)),* ))?,
+                    )+
+                    tag => {
+                        return Err($crate::CodecError::BadTag {
+                            context: stringify!($ty),
+                            tag,
+                        })
+                    }
+                })
+            }
+        }
+    };
+    (struct $ty:ident $(<$p:ident>)? { $($f:ident $(: $fm:ident)?),* $(,)? }) => {
+        impl $(<$p: $crate::Encode>)? $crate::Encode for $ty $(<$p>)? {
+            fn encode(&self, buf: &mut $crate::codec::WireBytesMut) {
+                let $ty { $($f),* } = self;
+                $($crate::wire!(@enc buf, $f $(: $fm)?);)*
+            }
+        }
+        impl $(<$p: $crate::Decode>)? $crate::Decode for $ty $(<$p>)? {
+            fn decode(
+                buf: &mut $crate::codec::WireBytes,
+            ) -> ::std::result::Result<Self, $crate::CodecError> {
+                Ok($ty { $($f: $crate::wire!(@dec buf, $f $(: $fm)?)),* })
+            }
+        }
+    };
+    (struct $ty:ident $(<$p:ident>)? ( $($t:ident),* $(,)? )) => {
+        impl $(<$p: $crate::Encode>)? $crate::Encode for $ty $(<$p>)? {
+            fn encode(&self, buf: &mut $crate::codec::WireBytesMut) {
+                let $ty($($t),*) = self;
+                $($crate::Encode::encode($t, buf);)*
+            }
+        }
+        impl $(<$p: $crate::Decode>)? $crate::Decode for $ty $(<$p>)? {
+            fn decode(
+                buf: &mut $crate::codec::WireBytes,
+            ) -> ::std::result::Result<Self, $crate::CodecError> {
+                Ok($ty($($crate::wire!(@dec buf, $t)),*))
+            }
+        }
+    };
+    (@enc $buf:ident, $f:ident) => { $crate::Encode::encode($f, $buf) };
+    (@enc $buf:ident, $f:ident : $m:ident) => { $m::encode($f, $buf) };
+    (@dec $buf:ident, $f:ident) => { $crate::Decode::decode($buf)? };
+    (@dec $buf:ident, $f:ident : $m:ident) => { $m::decode($buf)? };
 }
 
 // ---- primitives ----------------------------------------------------------
@@ -122,6 +271,19 @@ impl Decode for u64 {
     fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
         need(buf, 8)?;
         Ok(buf.get_u64_le())
+    }
+}
+
+/// Sent as `u64`, so the wire format does not depend on the platform.
+impl Encode for usize {
+    fn encode(&self, buf: &mut BytesMut) {
+        (*self as u64).encode(buf);
+    }
+}
+impl Decode for usize {
+    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
+        let v = u64::decode(buf)?;
+        usize::try_from(v).map_err(|_| CodecError::LengthOverflow(v))
     }
 }
 
@@ -175,12 +337,9 @@ impl Encode for String {
 }
 impl Decode for String {
     fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        let len = u32::decode(buf)? as u64;
-        if len > MAX_LEN {
-            return Err(CodecError::LengthOverflow(len));
-        }
-        need(buf, len as usize)?;
-        let raw = buf.split_to(len as usize);
+        let len = decode_len(buf)?;
+        need(buf, len)?;
+        let raw = buf.split_to(len);
         String::from_utf8(raw.to_vec()).map_err(|_| CodecError::BadUtf8)
     }
 }
@@ -195,11 +354,8 @@ impl<T: Encode> Encode for Vec<T> {
 }
 impl<T: Decode> Decode for Vec<T> {
     fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        let len = u32::decode(buf)? as u64;
-        if len > MAX_LEN {
-            return Err(CodecError::LengthOverflow(len));
-        }
-        let mut out = Vec::with_capacity(len.min(4096) as usize);
+        let len = decode_len(buf)?;
+        let mut out = Vec::with_capacity(len.min(4096));
         for _ in 0..len {
             out.push(T::decode(buf)?);
         }
@@ -245,119 +401,31 @@ impl<T: Decode> Decode for Option<T> {
 
 // ---- model types ----------------------------------------------------------
 
-impl Encode for StepId {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
-    }
-}
-impl Decode for StepId {
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(StepId(u32::decode(buf)?))
-    }
-}
+wire! { struct StepId(id) }
+wire! { struct AgentId(id) }
+wire! { struct SchemaId(id) }
+wire! { struct InstanceId { schema, serial } }
+wire! { enum ItemScope { 0 => WorkflowInput, 1 => StepOutput(step) } }
+wire! { struct ItemKey { scope, slot } }
+wire! { enum Value { 0 => Int(i), 1 => Float(x), 2 => Str(s), 3 => Bool(b) } }
 
-impl Encode for AgentId {
+impl Encode for DataEnv {
     fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
-    }
-}
-impl Decode for AgentId {
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(AgentId(u32::decode(buf)?))
-    }
-}
-
-impl Encode for SchemaId {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
-    }
-}
-impl Decode for SchemaId {
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(SchemaId(u32::decode(buf)?))
-    }
-}
-
-impl Encode for InstanceId {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.schema.encode(buf);
-        self.serial.encode(buf);
-    }
-}
-impl Decode for InstanceId {
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(InstanceId {
-            schema: SchemaId::decode(buf)?,
-            serial: u32::decode(buf)?,
-        })
-    }
-}
-
-impl Encode for ItemKey {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self.scope {
-            ItemScope::WorkflowInput => buf.put_u8(0),
-            ItemScope::StepOutput(s) => {
-                buf.put_u8(1);
-                s.encode(buf);
-            }
-        }
-        self.slot.encode(buf);
-    }
-}
-impl Decode for ItemKey {
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        let scope = match u8::decode(buf)? {
-            0 => ItemScope::WorkflowInput,
-            1 => ItemScope::StepOutput(StepId::decode(buf)?),
-            tag => {
-                return Err(CodecError::BadTag {
-                    context: "ItemScope",
-                    tag,
-                })
-            }
-        };
-        Ok(ItemKey {
-            scope,
-            slot: u16::decode(buf)?,
-        })
-    }
-}
-
-impl Encode for Value {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            Value::Int(i) => {
-                buf.put_u8(0);
-                i.encode(buf);
-            }
-            Value::Float(x) => {
-                buf.put_u8(1);
-                x.encode(buf);
-            }
-            Value::Str(s) => {
-                buf.put_u8(2);
-                s.encode(buf);
-            }
-            Value::Bool(b) => {
-                buf.put_u8(3);
-                b.encode(buf);
-            }
+        (self.len() as u32).encode(buf);
+        for (k, v) in self.iter() {
+            k.encode(buf);
+            v.encode(buf);
         }
     }
 }
-impl Decode for Value {
+impl Decode for DataEnv {
     fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        match u8::decode(buf)? {
-            0 => Ok(Value::Int(i64::decode(buf)?)),
-            1 => Ok(Value::Float(f64::decode(buf)?)),
-            2 => Ok(Value::Str(String::decode(buf)?)),
-            3 => Ok(Value::Bool(bool::decode(buf)?)),
-            tag => Err(CodecError::BadTag {
-                context: "Value",
-                tag,
-            }),
+        let mut env = DataEnv::new();
+        for _ in 0..decode_len(buf)? {
+            let (k, v) = <(ItemKey, Value)>::decode(buf)?;
+            env.set(k, v);
         }
+        Ok(env)
     }
 }
 

@@ -359,22 +359,7 @@ mod tests {
         value: Value,
     }
 
-    impl Encode for Rec {
-        fn encode(&self, buf: &mut BytesMut) {
-            self.instance.encode(buf);
-            self.note.encode(buf);
-            self.value.encode(buf);
-        }
-    }
-    impl Decode for Rec {
-        fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-            Ok(Rec {
-                instance: InstanceId::decode(buf)?,
-                note: String::decode(buf)?,
-                value: Value::decode(buf)?,
-            })
-        }
-    }
+    crate::wire! { struct Rec { instance, note, value } }
 
     fn rec(n: u32) -> Rec {
         Rec {
