@@ -6,15 +6,13 @@
 //! runs the black box (honoring the failure plan) and replies.
 
 use crate::msg::CentralMsg;
-use crew_exec::{FailurePlan, ProgramCtx, ProgramRegistry};
+use crew_exec::{FailurePlan, ProgramCtx, ProgramRegistry, StepExecutor};
 use crew_simnet::{Ctx, Node, NodeId};
 use std::any::Any;
 
 /// A stateless program-execution agent.
 pub struct AppAgent {
-    registry: ProgramRegistry,
-    plan: FailurePlan,
-    seed: u64,
+    executor: StepExecutor,
     /// Cumulative program-execution load (reported to state probes).
     pub load: u64,
     /// Number of programs executed (test introspection).
@@ -26,9 +24,7 @@ pub struct AppAgent {
 impl AppAgent {
     pub fn new(registry: ProgramRegistry, plan: FailurePlan, seed: u64) -> Self {
         AppAgent {
-            registry,
-            plan,
-            seed,
+            executor: StepExecutor::new(registry, plan, seed),
             load: 0,
             executed: 0,
             compensated: 0,
@@ -47,56 +43,32 @@ impl Node<CentralMsg> for AppAgent {
                 attempt,
                 cost,
             } => {
-                let reply = if self.plan.step_fails(instance, step, attempt) {
+                let pctx = ProgramCtx {
+                    instance,
+                    step,
+                    attempt,
+                    seed: self.executor.seed,
+                    inputs,
+                };
+                let (outputs, error) = match self.executor.run(&program, &pctx) {
+                    Ok(outputs) => {
+                        self.executed += 1;
+                        self.load += cost;
+                        ctx.add_load(cost);
+                        (Some(outputs), None)
+                    }
+                    Err(e) => (None, Some(e.reason)),
+                };
+                ctx.send(
+                    from,
                     CentralMsg::ExecResult {
                         instance,
                         step,
                         attempt,
-                        outputs: None,
-                        error: Some("injected logical failure".into()),
-                    }
-                } else {
-                    match self.registry.get(&program) {
-                        None => CentralMsg::ExecResult {
-                            instance,
-                            step,
-                            attempt,
-                            outputs: None,
-                            error: Some(format!("unknown program {program:?}")),
-                        },
-                        Some(p) => {
-                            let pctx = ProgramCtx {
-                                instance,
-                                step,
-                                attempt,
-                                seed: self.seed,
-                                inputs,
-                            };
-                            match p.run(&pctx) {
-                                Ok(outputs) => {
-                                    self.executed += 1;
-                                    self.load += cost;
-                                    ctx.add_load(cost);
-                                    CentralMsg::ExecResult {
-                                        instance,
-                                        step,
-                                        attempt,
-                                        outputs: Some(outputs),
-                                        error: None,
-                                    }
-                                }
-                                Err(e) => CentralMsg::ExecResult {
-                                    instance,
-                                    step,
-                                    attempt,
-                                    outputs: None,
-                                    error: Some(e.reason),
-                                },
-                            }
-                        }
-                    }
-                };
-                ctx.send(from, reply);
+                        outputs,
+                        error,
+                    },
+                );
             }
             CentralMsg::CompensateRequest {
                 instance,
@@ -106,12 +78,12 @@ impl Node<CentralMsg> for AppAgent {
                 ..
             } => {
                 if let Some(name) = program {
-                    if let Some(p) = self.registry.get(&name) {
+                    if let Some(p) = self.executor.registry.get(&name) {
                         let pctx = ProgramCtx {
                             instance,
                             step,
                             attempt: 0,
-                            seed: self.seed,
+                            seed: self.executor.seed,
                             inputs: vec![],
                         };
                         p.compensate(&pctx);

@@ -79,6 +79,22 @@ impl StepExecutor {
         }
     }
 
+    /// Run `program` for one attempt: the failure plan's injected failure
+    /// first, then the registered program. Central application agents call
+    /// this directly; [`Self::execute`] wraps it with the data table and
+    /// history an agent holding the instance keeps.
+    pub fn run(&self, program: &str, ctx: &ProgramCtx) -> Result<Vec<Value>, StepFailure> {
+        if self.plan.step_fails(ctx.instance, ctx.step, ctx.attempt) {
+            return Err(StepFailure::new("injected logical failure"));
+        }
+        match self.registry.get(program) {
+            Some(p) => p.run(ctx),
+            None => Err(StepFailure::new(
+                ExecError::UnknownProgram(program.to_owned()).to_string(),
+            )),
+        }
+    }
+
     /// Execute `def` for `instance`: allocates the attempt in `history`,
     /// reads inputs from `env`, runs the program (unless the failure plan
     /// injects a failure), and on success writes outputs into `env` and the
@@ -90,22 +106,11 @@ impl StepExecutor {
         env: &mut DataEnv,
         history: &mut InstanceHistory,
     ) -> Result<StepOutcome, ExecError> {
-        let program = self
-            .registry
-            .get(&def.program)
-            .ok_or_else(|| ExecError::UnknownProgram(def.program.clone()))?
-            .clone();
+        if self.registry.get(&def.program).is_none() {
+            return Err(ExecError::UnknownProgram(def.program.clone()));
+        }
         let attempt = history.begin_attempt(def.id);
         let inputs = env.project(&def.input_keys());
-
-        if self.plan.step_fails(instance, def.id, attempt) {
-            history.record_failed(def.id);
-            return Ok(StepOutcome::Failed {
-                attempt,
-                reason: "injected logical failure".to_owned(),
-            });
-        }
-
         let ctx = ProgramCtx {
             instance,
             step: def.id,
@@ -113,15 +118,10 @@ impl StepExecutor {
             seed: self.seed,
             inputs: inputs.clone(),
         };
-        match program.run(&ctx) {
+        match self.run(&def.program, &ctx) {
             Ok(outputs) => {
-                for (i, v) in outputs.iter().enumerate() {
-                    // Slot numbering is 1-based; extra outputs beyond the
-                    // declared count are dropped.
-                    let slot = (i + 1) as u16;
-                    if slot <= def.output_slots {
-                        env.set(crew_model::ItemKey::output(def.id, slot), v.clone());
-                    }
+                for (k, v) in def.output_items(&outputs) {
+                    env.set(k, v.clone());
                 }
                 history.record_done(def.id, attempt, inputs, outputs.clone());
                 Ok(StepOutcome::Done {

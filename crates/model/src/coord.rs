@@ -7,7 +7,7 @@
 //! between the rule sets of the affected instances (Figure 4) using the
 //! `AddRule`/`AddEvent`/`AddPrecondition` primitives.
 
-use crate::ids::{SchemaId, StepId};
+use crate::ids::{InstanceId, SchemaId, StepId};
 
 /// Names a step of a particular schema (coordination requirements span
 /// schemas, so a bare `StepId` is not enough).
@@ -62,11 +62,69 @@ pub struct RelativeOrder {
     pub pairs: Vec<(SchemaStep, SchemaStep)>,
 }
 
+/// How one instance takes part in a [`RelativeOrder`] against a linked
+/// partner instance.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RoSide {
+    /// 0 when the instance plays the first component of every pair, 1 for
+    /// the second.
+    pub side: u8,
+    /// The linked pair in canonical order, `(side-0 instance, side-1
+    /// instance)`: the key every party files the pair's decision under.
+    pub pair: (InstanceId, InstanceId),
+}
+
 impl RelativeOrder {
     /// Number of steps of each participant that are ordered after the first
     /// pair — the messages the protocol must deliver per lagging instance.
     pub fn follow_on_pairs(&self) -> usize {
         self.pairs.len().saturating_sub(1)
+    }
+
+    /// The side `mine` plays against `partner`, or `None` if the two do not
+    /// meet under this requirement. When both sides share a schema the
+    /// lower serial takes side 0.
+    pub fn side_of(&self, mine: InstanceId, partner: InstanceId) -> Option<RoSide> {
+        let (a, b) = self.pairs.first()?;
+        let side = if mine.schema == a.schema && partner.schema == b.schema {
+            u8::from(a.schema == b.schema && mine.serial > partner.serial)
+        } else if mine.schema == b.schema && partner.schema == a.schema {
+            1
+        } else {
+            return None;
+        };
+        let pair = if side == 0 {
+            (mine, partner)
+        } else {
+            (partner, mine)
+        };
+        Some(RoSide { side, pair })
+    }
+
+    /// The ordered conflicting steps of `side` (0 = first components).
+    pub fn steps_of(&self, side: u8) -> impl Iterator<Item = StepId> + '_ {
+        self.pairs
+            .iter()
+            .map(move |(a, b)| if side == 0 { a.step } else { b.step })
+    }
+
+    /// Index `k` of `step` among the conflicting steps of `side`.
+    pub fn position(&self, side: u8, step: StepId) -> Option<usize> {
+        self.steps_of(side).position(|s| s == step)
+    }
+}
+
+impl RollbackDependency {
+    /// Does a rollback of a `schema` instance to `origin`, voiding the
+    /// `invalidated` steps, pass this dependency's source step?
+    pub fn is_hit(
+        &self,
+        schema: SchemaId,
+        origin: StepId,
+        invalidated: &std::collections::BTreeSet<StepId>,
+    ) -> bool {
+        self.source.schema == schema
+            && (self.source.step == origin || invalidated.contains(&self.source.step))
     }
 }
 
@@ -206,6 +264,47 @@ mod tests {
         assert_eq!(spec.schemas(), vec![SchemaId(1), SchemaId(2)]);
         assert!(!spec.is_empty());
         assert!(CoordinationSpec::default().is_empty());
+    }
+
+    #[test]
+    fn sides_are_complementary_and_canonical() {
+        let r = &sample().relative_orders[0];
+        let i = InstanceId::new(SchemaId(1), 7);
+        let j = InstanceId::new(SchemaId(2), 3);
+        let mine = r.side_of(i, j).unwrap();
+        let theirs = r.side_of(j, i).unwrap();
+        assert_eq!((mine.side, theirs.side), (0, 1));
+        assert_eq!(mine.pair, (i, j));
+        assert_eq!(theirs.pair, (i, j));
+        assert_eq!(r.steps_of(1).collect::<Vec<_>>(), [StepId(3), StepId(5)]);
+        assert_eq!(r.position(0, StepId(4)), Some(1));
+        assert_eq!(r.position(0, StepId(3)), None);
+        assert!(r.side_of(i, InstanceId::new(SchemaId(9), 1)).is_none());
+    }
+
+    #[test]
+    fn same_schema_sides_split_by_serial() {
+        let step = |s| SchemaStep::new(SchemaId(1), StepId(s));
+        let r = RelativeOrder {
+            id: 0,
+            conflict: "bin".into(),
+            pairs: vec![(step(1), step(2))],
+        };
+        let lo = InstanceId::new(SchemaId(1), 2);
+        let hi = InstanceId::new(SchemaId(1), 5);
+        assert_eq!(r.side_of(lo, hi).unwrap().side, 0);
+        assert_eq!(r.side_of(hi, lo).unwrap().side, 1);
+        assert_eq!(r.side_of(hi, lo).unwrap().pair, (lo, hi));
+    }
+
+    #[test]
+    fn rollback_dependency_hits_origin_or_invalidated_source() {
+        let rd = &sample().rollback_dependencies[0];
+        let none = std::collections::BTreeSet::new();
+        assert!(rd.is_hit(SchemaId(1), StepId(2), &none));
+        assert!(!rd.is_hit(SchemaId(1), StepId(3), &none));
+        assert!(rd.is_hit(SchemaId(1), StepId(1), &[StepId(2)].into()));
+        assert!(!rd.is_hit(SchemaId(2), StepId(2), &none));
     }
 
     #[test]

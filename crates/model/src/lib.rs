@@ -36,7 +36,9 @@ pub mod schema;
 pub mod step;
 pub mod value;
 
-pub use coord::{CoordinationSpec, MutualExclusion, RelativeOrder, RollbackDependency, SchemaStep};
+pub use coord::{
+    CoordinationSpec, MutualExclusion, RelativeOrder, RoSide, RollbackDependency, SchemaStep,
+};
 pub use expr::{ArithOp, CmpOp, EvalError, Expr};
 pub use ids::{AgentId, EngineId, InstanceId, SchemaId, StepId, StepRef};
 pub use policy::{

@@ -47,18 +47,24 @@ pub struct RollbackSpec {
     /// The step execution restarts from (the `OriginStep` of the
     /// `WorkflowRollback`/`HaltThread` interfaces).
     pub origin: StepId,
-    /// How many times this rollback may be retried before the workflow is
-    /// aborted. Guards against livelock when a step fails deterministically.
+    /// Failures charged to this rollback's origin before the workflow
+    /// aborts: the `max_attempts`-th failure aborts, so at most
+    /// `max_attempts - 1` rollbacks run. Guards against livelock when a
+    /// step fails deterministically.
     pub max_attempts: u32,
 }
 
 impl RollbackSpec {
+    /// The budget of a rollback spec that does not set one, and of a
+    /// failing step without any spec.
+    pub const DEFAULT_MAX_ATTEMPTS: u32 = 3;
+
     /// Create a new, empty value.
     pub fn new(failing_step: StepId, origin: StepId) -> Self {
         RollbackSpec {
             failing_step,
             origin,
-            max_attempts: 3,
+            max_attempts: Self::DEFAULT_MAX_ATTEMPTS,
         }
     }
 }

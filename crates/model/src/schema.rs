@@ -382,6 +382,45 @@ impl WorkflowSchema {
         self.descendants(origin)
     }
 
+    /// The branch head an XOR `split` takes over `data`: the target of the
+    /// first arc whose condition holds, else the unconditioned arc's.
+    pub fn xor_choice(&self, split: StepId, data: &crate::value::DataEnv) -> Option<StepId> {
+        let mut otherwise = None;
+        for arc in self.forward_outgoing(split) {
+            match &arc.condition {
+                Some(c) if c.eval_bool(data).unwrap_or(false) => return Some(arc.to),
+                Some(_) => {}
+                None => otherwise = Some(arc.to),
+            }
+        }
+        otherwise
+    }
+
+    /// Where a change of the `changed` workflow inputs rolls back to: the
+    /// first step in topological order that reads one of them, else the
+    /// start step.
+    pub fn input_change_origin(&self, changed: &BTreeSet<ItemKey>) -> StepId {
+        self.topo
+            .iter()
+            .copied()
+            .find(|s| {
+                self.expect_step(*s)
+                    .inputs
+                    .iter()
+                    .any(|b| changed.contains(&b.source))
+            })
+            .unwrap_or(self.start)
+    }
+
+    /// `steps` sorted by their position in [`Self::topo_order`].
+    pub fn in_topo_order(&self, steps: impl IntoIterator<Item = StepId>) -> Vec<StepId> {
+        let pos: BTreeMap<StepId, usize> =
+            self.topo.iter().enumerate().map(|(i, &s)| (s, i)).collect();
+        let mut out: Vec<StepId> = steps.into_iter().collect();
+        out.sort_by_key(|s| pos[s]);
+        out
+    }
+
     /// Extra `step.done` events a step's firing rule must wait for beyond
     /// its control-flow predecessors: the producers of its inputs that are
     /// not already upstream (cross-branch data arcs). See §4.2: "the rule
@@ -950,6 +989,39 @@ mod tests {
         b.and_split(s1, [s2, s3]);
         b.and_join([s2, s3], s4);
         b.build().unwrap()
+    }
+
+    #[test]
+    fn xor_choice_takes_first_true_condition_else_default() {
+        use crate::value::{DataEnv, Value};
+        let s = fig3_like();
+        let mut data = DataEnv::new();
+        // No output yet: the condition is not true, the default arc wins.
+        assert_eq!(s.xor_choice(StepId(2), &data), Some(StepId(4)));
+        data.set(ItemKey::output(StepId(2), 1), Value::Int(11));
+        assert_eq!(s.xor_choice(StepId(2), &data), Some(StepId(3)));
+        assert_eq!(s.xor_choice(StepId(5), &data), None);
+    }
+
+    #[test]
+    fn input_change_rolls_back_to_first_reader() {
+        let mut b = SchemaBuilder::new(SchemaId(3), "readers").inputs(2);
+        let s1 = b.add_step("A", "p");
+        let s2 = b.add_step("B", "p");
+        b.seq(s1, s2);
+        b.read(s2, ItemKey::input(2));
+        let s = b.build().unwrap();
+        let changed = |k: u16| BTreeSet::from([ItemKey::input(k)]);
+        assert_eq!(s.input_change_origin(&changed(2)), s2);
+        assert_eq!(s.input_change_origin(&changed(1)), s1, "nobody reads I1");
+    }
+
+    #[test]
+    fn in_topo_order_sorts_by_position() {
+        let d = diamond();
+        let sorted = d.in_topo_order([StepId(4), StepId(1), StepId(3)]);
+        assert_eq!(sorted.first(), Some(&StepId(1)));
+        assert_eq!(sorted.last(), Some(&StepId(4)));
     }
 
     #[test]

@@ -134,6 +134,19 @@ impl StepDef {
             .collect()
     }
 
+    /// The data items a run producing `outputs` writes: one per declared
+    /// output slot, in slot order. Values beyond the declared slots are
+    /// dropped.
+    pub fn output_items<'a>(
+        &self,
+        outputs: &'a [crate::value::Value],
+    ) -> impl Iterator<Item = (ItemKey, &'a crate::value::Value)> {
+        let id = self.id;
+        (1..=self.output_slots)
+            .zip(outputs)
+            .map(move |(slot, v)| (ItemKey::output(id, slot), v))
+    }
+
     /// Effective cost of compensating the step completely.
     pub fn compensation_cost(&self) -> u64 {
         self.compensation_cost.unwrap_or(self.cost)
@@ -148,6 +161,23 @@ impl StepDef {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn output_items_cover_declared_slots_only() {
+        use crate::value::Value;
+        let mut s = StepDef::new(StepId(3), "Stamp", "stamp");
+        s.output_slots = 2;
+        let three = [Value::Int(1), Value::Int(2), Value::Int(3)];
+        let items: Vec<_> = s.output_items(&three).collect();
+        assert_eq!(
+            items,
+            vec![
+                (ItemKey::output(StepId(3), 1), &Value::Int(1)),
+                (ItemKey::output(StepId(3), 2), &Value::Int(2)),
+            ]
+        );
+        assert_eq!(s.output_items(&three[..1]).count(), 1);
+    }
 
     #[test]
     fn output_keys_enumerate_slots() {
