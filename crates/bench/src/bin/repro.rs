@@ -919,7 +919,7 @@ fn ablations() {
         );
     }
 
-    header("Ablation: successor selection (rendezvous hash vs two-phase state poll)");
+    header("Ablation: successor selection (designated hash vs two-phase state poll)");
     println!(
         "{}",
         row(

@@ -46,7 +46,7 @@ pub struct WorkflowPacket {
     pub source_step: Option<StepId>,
     /// Under load-balanced successor selection: the agent the sender chose
     /// to execute `target_step` (overrides the deterministic designation
-    /// at every receiver). `None` under the default rendezvous scheme.
+    /// at every receiver). `None` under the default designated-hash scheme.
     pub executor: Option<AgentId>,
     /// Rollback epoch — bumped by each `WorkflowRollback`; packets from a
     /// previous epoch are stale and ignored (the event-invalidation

@@ -1,5 +1,6 @@
 //! The §4.2 successor-selection ablation: the two-phase
-//! `StateInformation`-based choice vs the deterministic rendezvous hash.
+//! `StateInformation`-based choice vs the deterministic designated hash
+//! (a hash of seed, instance and step modulo the eligible-agent count).
 
 use crew_core::{Architecture, Scenario, WorkflowSystem};
 use crew_distributed::SuccessorSelection;
@@ -52,7 +53,7 @@ fn load_balanced_mode_commits_and_costs_polls() {
 
     let (polls_hash, msgs_hash) = run(SuccessorSelection::DesignatedHash);
     let (polls_lb, msgs_lb) = run(SuccessorSelection::LoadBalanced);
-    assert_eq!(polls_hash, 0, "rendezvous selection needs no polls");
+    assert_eq!(polls_hash, 0, "designated-hash selection needs no polls");
     assert!(polls_lb > 0, "two-phase selection polls StateInformation");
     assert!(
         msgs_lb > msgs_hash,
