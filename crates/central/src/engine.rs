@@ -16,9 +16,10 @@
 use crate::msg::{CentralMsg, CoordMsg};
 use crate::topology::Topology;
 use bytes::Bytes;
+use crew_exec::hash::designated_index;
 use crew_exec::{
-    nested_child, ocr_decide, Acquire, Deployment, FailureResponse, InstanceCore, InstanceHistory,
-    MutexQueue, OcrDecision, StepState, Weight,
+    designated_agent, nested_child, ocr_decide, Acquire, Deployment, FailureResponse, InstanceCore,
+    InstanceHistory, MutexQueue, OcrDecision, StepState, Weight,
 };
 use crew_model::{
     DataEnv, InstanceId, ItemKey, SchemaStep, SplitKind, StepId, Value, WorkflowSchema,
@@ -59,8 +60,10 @@ struct EngineInst {
     /// dependent sets compensate in reverse execution order.
     comp_queue: VecDeque<CompItem>,
     comp_active: bool,
-    /// Origin to re-execute once the compensation queue drains.
-    reexec_after_comp: Option<StepId>,
+    /// Revisited steps to re-execute, in revisit order, once the
+    /// compensation queue drains (an input change can revisit several
+    /// concurrent branches before the first compensation completes).
+    reexec_after_comp: Vec<StepId>,
     /// Steps deferred on a coordination guard.
     ro_waiting: BTreeSet<StepId>,
     mutex_waiting: BTreeSet<StepId>,
@@ -712,7 +715,9 @@ impl Engine {
                 {
                     let st = self.inst(instance);
                     st.comp_queue.extend(items);
-                    st.reexec_after_comp = Some(step);
+                    if !st.reexec_after_comp.contains(&step) {
+                        st.reexec_after_comp.push(step);
+                    }
                 }
                 self.pump_comp_queue(instance, ctx);
             }
@@ -731,9 +736,9 @@ impl Engine {
                 st.comp_queue.pop_front()
             };
             let Some(item) = item else {
-                // Queue drained: re-execute the deferred origin, if any.
-                let origin = self.inst(instance).reexec_after_comp.take();
-                if let Some(origin) = origin {
+                // Queue drained: re-execute the deferred steps in order.
+                let origins = std::mem::take(&mut self.inst(instance).reexec_after_comp);
+                for origin in origins {
                     let def = self.schema(instance).expect_step(origin).clone();
                     self.dispatch(instance, &def, ctx);
                 }
@@ -747,15 +752,7 @@ impl Engine {
             }
             self.nav_load(ctx);
             if let Some(program) = def.compensation_program.clone() {
-                let agent = crew_exec::hash::combine(
-                    self.deployment.seed,
-                    &[
-                        instance.schema.0 as u64,
-                        instance.serial as u64,
-                        item.step.0 as u64,
-                    ],
-                ) % def.eligible_agents.len() as u64;
-                let agent = def.eligible_agents[agent as usize];
+                let agent = designated_agent(self.deployment.seed, instance, &def);
                 self.inst(instance).comp_active = true;
                 ctx.send(
                     self.topo.agent_node(agent),
@@ -833,17 +830,15 @@ impl Engine {
             attempt,
             outputs: vec![],
         });
-        let chosen_idx = crew_exec::hash::combine(
+        let chosen = designated_index(
             self.deployment.seed,
-            &[
-                instance.schema.0 as u64,
-                instance.serial as u64,
-                def.id.0 as u64,
-            ],
-        ) % def.eligible_agents.len() as u64;
+            instance,
+            def.id,
+            def.eligible_agents.len(),
+        );
         for (i, agent) in def.eligible_agents.iter().enumerate() {
             let node = self.topo.agent_node(*agent);
-            if i as u64 == chosen_idx {
+            if i == chosen {
                 ctx.send(
                     node,
                     CentralMsg::ExecRequest {
@@ -924,21 +919,20 @@ impl Engine {
                     instance,
                     code: EventKind::StepFail(step).code(),
                 });
-                // Failure-policy retry: re-dispatch in place while the
-                // step's budget lasts; only an exhausted budget falls
-                // through to the paper's rollback machinery.
-                let def = schema.expect_step(step);
-                if def
-                    .policy
-                    .retry
-                    .as_ref()
-                    .is_some_and(|r| r.allows_retry_after(attempt))
-                {
-                    let def = def.clone();
-                    self.dispatch(instance, &def, ctx);
-                    return;
+                let response = self
+                    .inst(instance)
+                    .core
+                    .decide_failure(&schema, step, attempt);
+                match response {
+                    FailureResponse::Retry => {
+                        let def = schema.expect_step(step).clone();
+                        self.dispatch(instance, &def, ctx);
+                    }
+                    FailureResponse::RollBack(origin) => {
+                        self.rollback_to(instance, origin, false, ctx)
+                    }
+                    FailureResponse::Abort => self.abort_instance(instance, ctx),
                 }
-                self.handle_failure(instance, step, ctx);
             }
         }
     }
@@ -1089,14 +1083,6 @@ impl Engine {
 
     // ---- failure handling -------------------------------------------------------
 
-    fn handle_failure(&mut self, instance: InstanceId, failed: StepId, ctx: &mut Ctx<CentralMsg>) {
-        let schema = self.schema(instance);
-        match self.inst(instance).core.charge_failure(&schema, failed) {
-            FailureResponse::Abort => self.abort_instance(instance, ctx),
-            FailureResponse::RollBack(origin) => self.rollback_to(instance, origin, false, ctx),
-        }
-    }
-
     fn rollback_to(
         &mut self,
         instance: InstanceId,
@@ -1178,7 +1164,7 @@ impl Engine {
         {
             let st = self.inst(instance);
             st.comp_queue.extend(items);
-            st.reexec_after_comp = None;
+            st.reexec_after_comp.clear();
         }
         self.pump_comp_queue(instance, ctx);
     }

@@ -760,26 +760,34 @@ impl DistAgent {
                     instance,
                     code: EventKind::StepFail(def.id).code(),
                 });
-                // Failure-policy retry: requeue via a self-send so each
-                // attempt is a fresh delivery (simulated time advances and
-                // unbounded retries cannot recurse), falling back to the
-                // paper's rollback protocol once the budget is exhausted.
-                if def
-                    .policy
-                    .retry
-                    .as_ref()
-                    .is_some_and(|r| r.allows_retry_after(attempt))
-                {
-                    ctx.send(
+                // A retry is a self-send, so each attempt is a fresh
+                // delivery (simulated time advances and unbounded retries
+                // cannot recurse).
+                let schema = self.schema(instance);
+                let response = self
+                    .inst(instance)
+                    .core
+                    .decide_failure(&schema, def.id, attempt);
+                match response {
+                    FailureResponse::Retry => ctx.send(
                         ctx.self_id,
                         DistMsg::StepRetry {
                             instance,
                             step: def.id,
                         },
-                    );
-                    return;
+                    ),
+                    FailureResponse::RollBack(origin) => {
+                        self.initiate_rollback(instance, origin, ctx)
+                    }
+                    FailureResponse::Abort => {
+                        let coord = self.coordination_node(instance, &schema);
+                        if coord == ctx.self_id {
+                            self.on_workflow_abort(instance, ctx);
+                        } else {
+                            ctx.send(coord, DistMsg::WorkflowAbort { instance });
+                        }
+                    }
                 }
-                self.initiate_rollback(instance, def.id, ctx);
             }
         }
     }
@@ -1580,20 +1588,8 @@ impl DistAgent {
     /// Initiated at the agent where a step failed: route `WorkflowRollback`
     /// to the rollback origin's agent (§5.2 — "None of the other agents
     /// that executed steps of that workflow are notified").
-    fn initiate_rollback(&mut self, instance: InstanceId, failed: StepId, ctx: &mut Ctx<DistMsg>) {
+    fn initiate_rollback(&mut self, instance: InstanceId, origin: StepId, ctx: &mut Ctx<DistMsg>) {
         let schema = self.schema(instance);
-        let origin = match self.inst(instance).core.charge_failure(&schema, failed) {
-            FailureResponse::RollBack(origin) => origin,
-            FailureResponse::Abort => {
-                let coord = self.coordination_node(instance, &schema);
-                if coord == ctx.self_id {
-                    self.on_workflow_abort(instance, ctx);
-                } else {
-                    ctx.send(coord, DistMsg::WorkflowAbort { instance });
-                }
-                return;
-            }
-        };
         let target = self.node_of_step(instance, &schema, origin);
         if target == ctx.self_id {
             self.on_workflow_rollback(instance, origin, false, ctx);

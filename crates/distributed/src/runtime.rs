@@ -1,8 +1,8 @@
 //! Deployment-wide runtime knowledge shared by every distributed agent:
 //! the node directory, designated-executor selection, and configuration.
 
-use crew_exec::{hash, Deployment};
-use crew_model::{AgentId, InstanceId, StepDef, WorkflowSchema};
+use crew_exec::Deployment;
+use crew_model::{AgentId, InstanceId, WorkflowSchema};
 use crew_simnet::NodeId;
 use std::sync::Arc;
 
@@ -90,27 +90,14 @@ impl Default for DistConfig {
     }
 }
 
-/// The designated executor of a step execution: the eligible agent at
-/// index `hash(deployment seed, instance, step) % len` (a plain modulo
-/// hash, not rendezvous hashing). Every agent computes the same answer with zero messages; the
-/// workflow packet is broadcast to all eligible agents (the paper sends the
-/// packet to every agent responsible for a succeeding step), and only the
-/// designated one executes. The `StateInformation`-based two-phase/leader
-/// election selection of §4.2 exists as an alternative mode in the
-/// successor-selection ablation.
-pub fn designated_agent(seed: u64, instance: InstanceId, def: &StepDef) -> AgentId {
-    let e = &def.eligible_agents;
-    assert!(!e.is_empty(), "step {} has no eligible agents", def.id);
-    let h = hash::combine(
-        seed,
-        &[
-            instance.schema.0 as u64,
-            instance.serial as u64,
-            def.id.0 as u64,
-        ],
-    );
-    e[(h % e.len() as u64) as usize]
-}
+/// The designated executor of a step execution, shared with the
+/// central engines. Every agent computes the same answer with zero
+/// messages; the workflow packet is broadcast to all eligible agents (the
+/// paper sends the packet to every agent responsible for a succeeding
+/// step), and only the designated one executes. The
+/// `StateInformation`-based two-phase/leader election selection of §4.2
+/// exists as an alternative mode in the successor-selection ablation.
+pub use crew_exec::designated_agent;
 
 /// The coordination agent of an instance: the designated executor of its
 /// start step (§4.1: "typically the agent responsible for executing the
@@ -147,7 +134,7 @@ pub struct SharedCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crew_model::{SchemaBuilder, SchemaId, StepId};
+    use crew_model::{SchemaBuilder, SchemaId, StepDef, StepId};
 
     #[test]
     fn directory_layout() {

@@ -6,6 +6,8 @@
 //! never from global RNG state. We use the SplitMix64 finalizer, which is
 //! tiny, fast and well distributed.
 
+use crew_model::{AgentId, InstanceId, StepDef, StepId};
+
 /// SplitMix64 finalization step.
 #[inline]
 pub fn mix64(mut z: u64) -> u64 {
@@ -33,6 +35,29 @@ pub fn unit_draw(seed: u64, parts: &[u64]) -> f64 {
 /// Deterministic boolean with probability `p`, keyed by `seed`/`parts`.
 pub fn draw(seed: u64, parts: &[u64], p: f64) -> bool {
     p > 0.0 && unit_draw(seed, parts) < p
+}
+
+/// Index of the designated executor of `step` of `instance` among `len`
+/// eligible agents: a hash of (seed, instance, step) modulo `len`. Every
+/// node computes the same answer without messages.
+pub fn designated_index(seed: u64, instance: InstanceId, step: StepId, len: usize) -> usize {
+    assert!(len > 0, "step {step} has no eligible agents");
+    let h = combine(
+        seed,
+        &[
+            instance.schema.0 as u64,
+            instance.serial as u64,
+            step.0 as u64,
+        ],
+    );
+    (h % len as u64) as usize
+}
+
+/// The designated executor of `def` for `instance`: the eligible agent at
+/// [`designated_index`].
+pub fn designated_agent(seed: u64, instance: InstanceId, def: &StepDef) -> AgentId {
+    let e = &def.eligible_agents;
+    e[designated_index(seed, instance, def.id, e.len())]
 }
 
 #[cfg(test)]

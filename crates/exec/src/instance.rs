@@ -16,9 +16,11 @@ use crew_model::{
 use crew_rules::{EventKind, Firing, Rule, RuleId, RuleSet};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// What a step failure that no retry absorbs leads to.
+/// What a step failure leads to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureResponse {
+    /// The step's `retry(N)` budget lasts: run it again in place.
+    Retry,
     /// Roll the instance back to this origin.
     RollBack(StepId),
     /// The origin's rollback budget is spent: abort the instance.
@@ -169,10 +171,21 @@ impl InstanceCore {
 
     // ---- failure handling ----------------------------------------------
 
-    /// Charge a failure of `failed` (after any retries) to its rollback
-    /// origin's budget: roll back to the origin, or abort on the
-    /// `max_attempts`-th failure.
-    pub fn charge_failure(&mut self, schema: &WorkflowSchema, failed: StepId) -> FailureResponse {
+    /// Decide what the failed `attempt` (1-based) of `failed` leads to.
+    /// While the step's `retry(N)` budget lasts it is retried in place,
+    /// which charges nothing. Otherwise the failure is charged to its
+    /// rollback origin's budget: roll back to the origin, or abort on the
+    /// `max_attempts`-th charged failure.
+    pub fn decide_failure(
+        &mut self,
+        schema: &WorkflowSchema,
+        failed: StepId,
+        attempt: u32,
+    ) -> FailureResponse {
+        let retry = schema.expect_step(failed).policy.retry;
+        if retry.is_some_and(|r| r.allows_retry_after(attempt)) {
+            return FailureResponse::Retry;
+        }
         let spec = schema.rollback_spec_for(failed);
         let origin = spec.map_or(failed, |r| r.origin);
         let max_attempts = spec.map_or(RollbackSpec::DEFAULT_MAX_ATTEMPTS, |r| r.max_attempts);
@@ -289,9 +302,9 @@ pub fn nested_child(parent: InstanceId, step: StepId, schema: SchemaId) -> Insta
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crew_model::{SchemaBuilder, SchemaId};
+    use crew_model::{RetryPolicy, SchemaBuilder, SchemaId};
 
-    fn linear(max_attempts: Option<u32>) -> WorkflowSchema {
+    fn linear(max_attempts: Option<u32>, retry: Option<u32>) -> WorkflowSchema {
         let mut b = SchemaBuilder::new(SchemaId(1), "lin").inputs(1);
         let s1 = b.add_step("A", "p");
         let s2 = b.add_step("B", "p");
@@ -299,14 +312,17 @@ mod tests {
         if let Some(m) = max_attempts {
             b.on_failure_rollback_to_with_attempts(s2, s1, m);
         }
+        if let Some(n) = retry {
+            b.configure(s2, |d| d.policy.retry = Some(RetryPolicy::bounded(n)));
+        }
         b.build().unwrap()
     }
 
     #[test]
     fn budget_aborts_on_the_max_attempts_th_failure() {
         for (schema, max) in [
-            (linear(None), RollbackSpec::DEFAULT_MAX_ATTEMPTS),
-            (linear(Some(4)), 4),
+            (linear(None, None), RollbackSpec::DEFAULT_MAX_ATTEMPTS),
+            (linear(Some(4), None), 4),
         ] {
             let origin = schema
                 .rollback_spec_for(StepId(2))
@@ -314,15 +330,40 @@ mod tests {
             let mut core = InstanceCore::default();
             for failure in 1..max {
                 assert_eq!(
-                    core.charge_failure(&schema, StepId(2)),
+                    core.decide_failure(&schema, StepId(2), 1),
                     FailureResponse::RollBack(origin),
                     "failure {failure} of {max} rolls back"
                 );
             }
             assert_eq!(
-                core.charge_failure(&schema, StepId(2)),
+                core.decide_failure(&schema, StepId(2), 1),
                 FailureResponse::Abort
             );
+        }
+    }
+
+    #[test]
+    fn retries_charge_nothing_and_the_max_attempts_th_charge_aborts() {
+        // retry(2) on B; B's failures roll back to A with a budget of 3.
+        let schema = linear(Some(3), Some(2));
+        let (a, b) = (StepId(1), StepId(2));
+        let mut core = InstanceCore::default();
+        let charged = |core: &InstanceCore| core.rollback_counts.get(&a).copied().unwrap_or(0);
+        // Attempt numbers count every run of the step, across rollbacks.
+        for attempt in 1..=2 {
+            assert_eq!(
+                core.decide_failure(&schema, b, attempt),
+                FailureResponse::Retry
+            );
+            assert_eq!(charged(&core), 0, "a retry charges nothing");
+        }
+        for (attempt, expected) in [
+            (3, FailureResponse::RollBack(a)),
+            (4, FailureResponse::RollBack(a)),
+            (5, FailureResponse::Abort),
+        ] {
+            assert_eq!(core.decide_failure(&schema, b, attempt), expected);
+            assert_eq!(charged(&core), attempt - 2);
         }
     }
 

@@ -29,6 +29,7 @@ pub mod weight;
 pub use deploy::{Deployment, RelOrderLinks};
 pub use executor::{ExecError, StepExecutor, StepOutcome};
 pub use failure::FailurePlan;
+pub use hash::designated_agent;
 pub use history::{InstanceHistory, StepRecord, StepState};
 pub use instance::{nested_child, FailureResponse, InstanceCore};
 pub use mutex::{Acquire, MutexQueue};

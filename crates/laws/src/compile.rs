@@ -126,12 +126,6 @@ fn compile_workflow<'a>(
     wf_ids: &BTreeMap<&str, SchemaId>,
 ) -> Result<(WorkflowSchema, BTreeMap<&'a str, StepId>), CompileError> {
     let mut b = SchemaBuilder::new(SchemaId(wf.id), wf.name.clone()).inputs(wf.inputs);
-    if let Some(p) = &wf.policy {
-        b.workflow_policy(crew_model::WorkflowPolicy {
-            max_failures: p.max_failures,
-            dead_letter: p.dead_letter,
-        });
-    }
     let mut ids: BTreeMap<&str, StepId> = BTreeMap::new();
 
     // Pass 1: declare steps.
@@ -310,32 +304,11 @@ fn compile_workflow<'a>(
     Ok((schema, ids))
 }
 
-/// Translate a parsed step policy block into the model type, applying the
-/// surface defaults (fixed backoff with zero base, zero jitter).
+/// Translate a parsed step policy block into the model type.
 fn compile_step_policy(p: &PolicyDecl) -> crew_model::StepPolicy {
     crew_model::StepPolicy {
-        retry: p.retry.as_ref().map(|r| {
-            let (backoff, base) = match r.backoff {
-                Some((BackoffKindAst::Fixed, b)) => (crew_model::BackoffKind::Fixed, b),
-                Some((BackoffKindAst::Linear, b)) => (crew_model::BackoffKind::Linear, b),
-                Some((BackoffKindAst::Exponential, b)) => (crew_model::BackoffKind::Exponential, b),
-                None => (crew_model::BackoffKind::Fixed, 0),
-            };
-            crew_model::RetryPolicy {
-                max: r.max,
-                backoff,
-                base,
-                jitter: r.jitter.unwrap_or(0),
-            }
-        }),
+        retry: p.retry.map(|max| crew_model::RetryPolicy { max }),
         idempotent: p.idempotent,
-        breaker: p
-            .breaker
-            .map(|(threshold, cooldown)| crew_model::BreakerPolicy {
-                threshold,
-                cooldown,
-            }),
-        dead_letter: p.dead_letter,
     }
 }
 

@@ -6,16 +6,11 @@
 //! spec      := (workflow | coordination)* EOF
 //! workflow  := "workflow" IDENT "(" "id" INT ")" "{" wfitem* "}"
 //! wfitem    := "inputs" INT ";" | step | flow | parallel | choice | loop
-//!            | compset | onfailure | wfpolicy
+//!            | compset | onfailure
 //! step      := "step" IDENT "{" stepitem* "}"
-//! wfpolicy  := "policy" "{" ("max_failures" INT ";" | "dead_letter" ";")* "}"
 //! steppolicy := "policy" "{" policyitem* "}"
-//! policyitem := "retry" "(" ("unbounded" | INT)
-//!                 ("," ("fixed"|"linear"|"exponential") INT)?
-//!                 ("," "jitter" INT)? ")" ";"
+//! policyitem := "retry" "(" ("unbounded" | INT) ")" ";"
 //!             | "idempotent" ";"
-//!             | "breaker" "(" "threshold" INT "," "cooldown" INT ")" ";"
-//!             | "dead_letter" ";"
 //! flow      := "flow" IDENT "->" IDENT ";"
 //! parallel  := "parallel" IDENT "->" "{" IDENT ("," IDENT)* "}" "->" IDENT ";"
 //! choice    := "choice" IDENT "->" "{" branch ("," branch)* "}" "->" IDENT ";"
@@ -174,7 +169,6 @@ impl Parser {
             inputs: 0,
             steps: Vec::new(),
             items: Vec::new(),
-            policy: None,
             pos,
         };
         while self.peek().tok != Tok::RBrace {
@@ -289,16 +283,6 @@ impl Parser {
                             retries,
                             pos,
                         });
-                    }
-                    "policy" => {
-                        let pos = self.next().pos;
-                        if decl.policy.is_some() {
-                            return Err(ParseError {
-                                pos,
-                                message: "duplicate workflow policy block".into(),
-                            });
-                        }
-                        decl.policy = Some(self.wf_policy(pos)?);
                     }
                     other => return self.err(format!("unexpected workflow item `{other}`")),
                 },
@@ -446,38 +430,6 @@ impl Parser {
         Ok(decl)
     }
 
-    /// `policy { (max_failures INT ";" | dead_letter ";")* }` — the
-    /// `policy` keyword has already been consumed at `pos`.
-    fn wf_policy(&mut self, pos: Pos) -> Result<WfPolicyDecl, ParseError> {
-        self.expect(Tok::LBrace)?;
-        let mut decl = WfPolicyDecl {
-            max_failures: None,
-            dead_letter: false,
-            pos,
-        };
-        while self.peek().tok != Tok::RBrace {
-            let (kw, kw_pos) = self.ident()?;
-            match kw.as_str() {
-                "max_failures" => {
-                    decl.max_failures = Some(self.int()? as u32);
-                    self.expect(Tok::Semi)?;
-                }
-                "dead_letter" => {
-                    decl.dead_letter = true;
-                    self.expect(Tok::Semi)?;
-                }
-                other => {
-                    return Err(ParseError {
-                        pos: kw_pos,
-                        message: format!("unexpected workflow policy item `{other}`"),
-                    })
-                }
-            }
-        }
-        self.expect(Tok::RBrace)?;
-        Ok(decl)
-    }
-
     /// `policy { policyitem* }` — the `policy` keyword has already been
     /// consumed at `pos`.
     fn step_policy(&mut self, pos: Pos) -> Result<PolicyDecl, ParseError> {
@@ -485,40 +437,26 @@ impl Parser {
         let mut decl = PolicyDecl {
             retry: None,
             idempotent: false,
-            breaker: None,
-            dead_letter: false,
             pos,
         };
         while self.peek().tok != Tok::RBrace {
             let (kw, kw_pos) = self.ident()?;
             match kw.as_str() {
                 "retry" => {
-                    decl.retry = Some(self.retry_decl(kw_pos)?);
+                    decl.retry = Some(self.retry_budget()?);
                     self.expect(Tok::Semi)?;
                 }
                 "idempotent" => {
                     decl.idempotent = true;
                     self.expect(Tok::Semi)?;
                 }
-                "breaker" => {
-                    self.expect(Tok::LParen)?;
-                    self.keyword("threshold")?;
-                    let threshold = self.int()? as u32;
-                    self.expect(Tok::Comma)?;
-                    self.keyword("cooldown")?;
-                    let cooldown = self.int()? as u64;
-                    self.expect(Tok::RParen)?;
-                    self.expect(Tok::Semi)?;
-                    decl.breaker = Some((threshold, cooldown));
-                }
-                "dead_letter" => {
-                    decl.dead_letter = true;
-                    self.expect(Tok::Semi)?;
-                }
                 other => {
                     return Err(ParseError {
                         pos: kw_pos,
-                        message: format!("unexpected policy item `{other}`"),
+                        message: format!(
+                            "unexpected policy item `{other}` (a step policy takes \
+                             `retry(N)`, `retry(unbounded)` and `idempotent`)"
+                        ),
                     })
                 }
             }
@@ -527,8 +465,8 @@ impl Parser {
         Ok(decl)
     }
 
-    /// `retry "(" ("unbounded" | INT) ("," backoff INT)? ("," "jitter" INT)? ")"`
-    fn retry_decl(&mut self, pos: Pos) -> Result<RetryDecl, ParseError> {
+    /// `"(" ("unbounded" | INT) ")"`; `None` is unbounded.
+    fn retry_budget(&mut self) -> Result<Option<u32>, ParseError> {
         self.expect(Tok::LParen)?;
         let max = if self.is_keyword("unbounded") {
             self.next();
@@ -536,37 +474,16 @@ impl Parser {
         } else {
             Some(self.int()? as u32)
         };
-        let mut decl = RetryDecl {
-            max,
-            backoff: None,
-            jitter: None,
-            pos,
-        };
-        while self.peek().tok == Tok::Comma {
+        if self.peek().tok == Tok::Comma {
             self.next();
             let (kw, kw_pos) = self.ident()?;
-            let kind = match kw.as_str() {
-                "fixed" => Some(BackoffKindAst::Fixed),
-                "linear" => Some(BackoffKindAst::Linear),
-                "exponential" => Some(BackoffKindAst::Exponential),
-                "jitter" => None,
-                other => {
-                    return Err(ParseError {
-                        pos: kw_pos,
-                        message: format!(
-                            "expected fixed|linear|exponential|jitter, found `{other}`"
-                        ),
-                    })
-                }
-            };
-            let value = self.int()? as u64;
-            match kind {
-                Some(k) => decl.backoff = Some((k, value)),
-                None => decl.jitter = Some(value),
-            }
+            return Err(ParseError {
+                pos: kw_pos,
+                message: format!("unexpected retry argument `{kw}` (`retry` takes only a count)"),
+            });
         }
         self.expect(Tok::RParen)?;
-        Ok(decl)
+        Ok(max)
     }
 
     fn item_ref(&mut self) -> Result<ItemRef, ParseError> {
@@ -922,18 +839,13 @@ mod tests {
             r#"
             workflow P (id 1) {
                 inputs 1;
-                policy { max_failures 4; dead_letter; }
                 step A {
                     program "p";
-                    policy { retry(3, exponential 10, jitter 2); idempotent; }
+                    policy { retry(3); idempotent; }
                 }
                 step B {
                     program "p";
-                    policy {
-                        retry(unbounded);
-                        breaker(threshold 2, cooldown 500);
-                        dead_letter;
-                    }
+                    policy { retry(unbounded); }
                 }
                 flow A -> B;
             }
@@ -941,20 +853,12 @@ mod tests {
         )
         .unwrap();
         let wf = &spec.workflows[0];
-        let wfp = wf.policy.as_ref().unwrap();
-        assert_eq!(wfp.max_failures, Some(4));
-        assert!(wfp.dead_letter);
         let a = wf.steps[0].policy.as_ref().unwrap();
-        let ra = a.retry.as_ref().unwrap();
-        assert_eq!(ra.max, Some(3));
-        assert_eq!(ra.backoff, Some((BackoffKindAst::Exponential, 10)));
-        assert_eq!(ra.jitter, Some(2));
+        assert_eq!(a.retry, Some(Some(3)));
         assert!(a.idempotent);
-        assert!(!a.dead_letter);
         let b = wf.steps[1].policy.as_ref().unwrap();
-        assert_eq!(b.retry.as_ref().unwrap().max, None);
-        assert_eq!(b.breaker, Some((2, 500)));
-        assert!(b.dead_letter);
+        assert_eq!(b.retry, Some(None));
+        assert!(!b.idempotent);
     }
 
     #[test]
@@ -967,11 +871,36 @@ mod tests {
         let err = parse(r#"workflow P (id 1) { step A { program "p"; policy { backoff 3; } } }"#)
             .unwrap_err();
         assert!(err.message.contains("unexpected policy item"), "{err}");
-        let err = parse(r#"workflow P (id 1) { policy { retry(2); } }"#).unwrap_err();
-        assert!(
-            err.message.contains("unexpected workflow policy item"),
-            "{err}"
-        );
+        // Constructs the runtime does not honour are parse errors that
+        // name the construct.
+        let step_policy = |items: &str| {
+            parse(&format!(
+                r#"workflow P (id 1) {{ step A {{ program "p"; policy {{ {items} }} }} }}"#
+            ))
+            .unwrap_err()
+            .message
+        };
+        for (items, named) in [
+            ("retry(3, exponential 20);", "`exponential`"),
+            ("retry(2, linear 10);", "`linear`"),
+            ("retry(4, fixed 300000);", "`fixed`"),
+            ("retry(3, jitter 5);", "`jitter`"),
+            ("retry(2); breaker(threshold 2, cooldown 100);", "`breaker`"),
+            ("retry(2); dead_letter;", "`dead_letter`"),
+        ] {
+            let message = step_policy(items);
+            assert!(message.contains(named), "{items}: {message}");
+        }
+        for wf_policy in ["max_failures 3;", "dead_letter;", "retry(2);"] {
+            let err = parse(&format!(
+                r#"workflow P (id 1) {{ policy {{ {wf_policy} }} step A {{ program "p"; }} }}"#
+            ))
+            .unwrap_err();
+            assert!(
+                err.message.contains("unexpected workflow item `policy`"),
+                "{wf_policy}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -154,21 +154,6 @@ pub trait OutboxLog<M>: Send {
     fn replay(&mut self) -> PersistedChannelState<M>;
 }
 
-/// No durability: channel state dies with the node. Only sound for runs
-/// without crashes (or message types without a codec); a crashed endpoint
-/// loses its outbox *and* its dedup cursors.
-#[derive(Debug, Default)]
-pub struct VolatileOutbox;
-
-impl<M> OutboxLog<M> for VolatileOutbox {
-    fn log_send(&mut self, _to: NodeId, _seq: u64, _payload: &M) {}
-    fn log_ack(&mut self, _peer: NodeId, _cum: u64) {}
-    fn log_delivered(&mut self, _peer: NodeId, _cum: u64) {}
-    fn replay(&mut self) -> PersistedChannelState<M> {
-        PersistedChannelState::default()
-    }
-}
-
 /// Fold a channel log into the state it describes. A
 /// [`ChanRec::Checkpoint`] resets the fold to its snapshot, so only the
 /// suffix after the last checkpoint contributes work.
@@ -703,15 +688,6 @@ mod tests {
         let o = ep.on_data(NodeId(4), 2, 42);
         assert!(o.duplicate);
         assert_eq!(o.cum, 2);
-    }
-
-    #[test]
-    fn volatile_outbox_loses_everything() {
-        let mut ep: Endpoint<u64> =
-            Endpoint::new(Box::new(VolatileOutbox), RetransmitConfig::default());
-        ep.stage(NodeId(2), 100, 0);
-        ep.on_crash();
-        assert!(ep.on_recover(10).is_empty());
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use crate::metrics::{Classify, Metrics};
 use crate::netfault::NetFaultPlan;
 use crate::node::{Ctx, Node, NodeId, TimerId};
-use crate::reliable::{Endpoint, Frame, OutboxLog, RetransmitConfig, VolatileOutbox, WalOutbox};
+use crate::reliable::{Endpoint, Frame, OutboxLog, RetransmitConfig, WalOutbox};
 use crate::trace::{Trace, TraceEntry};
 use crew_storage::{Decode, Encode};
 use std::cmp::Reverse;
@@ -240,16 +240,6 @@ impl<M: Classify + Clone + std::fmt::Debug + Send + 'static> Simulation<M> {
     {
         self.install_transport(plan, RetransmitConfig::default(), || {
             Box::new(WalOutbox::<M>::new()) as Box<dyn OutboxLog<M>>
-        });
-    }
-
-    /// Like [`Simulation::enable_net_faults`] but without durability: a
-    /// crashed node loses its channel state (outbox *and* dedup cursors),
-    /// so this is only sound for runs without crashes. Exists for message
-    /// types without a codec.
-    pub fn enable_net_faults_volatile(&mut self, plan: NetFaultPlan) {
-        self.install_transport(plan, RetransmitConfig::default(), || {
-            Box::new(VolatileOutbox) as Box<dyn OutboxLog<M>>
         });
     }
 

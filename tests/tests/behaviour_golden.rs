@@ -284,8 +284,8 @@ fn scenario_schemas_are_pinned() {
         "scenarios",
         scenarios,
         [
-            "c6 a2 s1 ev111 te54c0bef252287d5 msgs 92 0 2 6 0 0 runs 1.1.inv.check:3/1 1.2.inv.release:1/0 1.2.inv.reserve:2/1 1.3.pay.charge:1/2 1.4.ship.dispatch:1/1 2.1.passthrough:3/2 2.2.book.flight:2/1 2.2.cancel.flight:1/0 2.3.book.hotel:2/1 2.3.cancel.hotel:1/0 2.4.book.car:3/2 2.4.cancel.car:1/0 2.5.itinerary.total:2/2 2.6.stamp:1/1 2.7.stamp:1/1 2.8.stamp:1/1 3.1.claim.intake:2/1 3.3.claim.assess:2/1 3.4.claim.payout:2/1 4.1.fraud.screen:2/1 4.2.fraud.report:2/1 5.1.passthrough:2/4 5.2.passthrough:2/1",
-            "c6 a2 s1 ev111 t1005dc9183be3634 msgs 92 0 2 6 0 0 runs 1.1.inv.check:3/1 1.2.inv.release:1/0 1.2.inv.reserve:2/1 1.3.pay.charge:1/2 1.4.ship.dispatch:1/1 2.1.passthrough:3/2 2.2.book.flight:2/1 2.2.cancel.flight:1/0 2.3.book.hotel:2/1 2.3.cancel.hotel:1/0 2.4.book.car:3/2 2.4.cancel.car:1/0 2.5.itinerary.total:2/2 2.6.stamp:1/1 2.8.stamp:1/1 3.1.claim.intake:2/1 3.3.claim.assess:2/1 3.4.claim.payout:2/1 4.1.fraud.screen:2/1 4.2.fraud.report:2/1 5.1.passthrough:2/4 5.2.passthrough:2/1",
+            "c7 a2 s0 ev121 t6ce372bcd7dc7742 msgs 102 0 2 6 0 0 runs 1.1.inv.check:3/1 1.2.inv.release:1/0 1.2.inv.reserve:2/1 1.3.pay.charge:1/2 1.4.ship.dispatch:1/1 2.1.passthrough:3/2 2.2.book.flight:3/2 2.2.cancel.flight:1/0 2.3.book.hotel:3/2 2.3.cancel.hotel:1/0 2.4.book.car:3/2 2.4.cancel.car:1/0 2.5.itinerary.total:3/2 2.6.stamp:2/1 2.7.stamp:1/1 2.8.stamp:2/1 3.1.claim.intake:2/1 3.3.claim.assess:2/1 3.4.claim.payout:2/1 4.1.fraud.screen:2/1 4.2.fraud.report:2/1 5.1.passthrough:2/4 5.2.passthrough:2/1",
+            "c7 a2 s0 ev121 tb27461bdae681daf msgs 102 0 2 6 0 0 runs 1.1.inv.check:3/1 1.2.inv.release:1/0 1.2.inv.reserve:2/1 1.3.pay.charge:1/2 1.4.ship.dispatch:1/1 2.1.passthrough:3/2 2.2.book.flight:3/2 2.2.cancel.flight:1/0 2.3.book.hotel:3/2 2.3.cancel.hotel:1/0 2.4.book.car:3/2 2.4.cancel.car:1/0 2.5.itinerary.total:3/2 2.6.stamp:2/1 2.8.stamp:2/1 3.1.claim.intake:2/1 3.3.claim.assess:2/1 3.4.claim.payout:2/1 4.1.fraud.screen:2/1 4.2.fraud.report:2/1 5.1.passthrough:2/4 5.2.passthrough:2/1",
             "c7 a2 s0 ev139 tdc2b475e97c318cd msgs 85 1 12 30 0 0 runs 1.1.inv.check:3/1 1.2.inv.release:2/1 1.2.inv.reserve:3/1 1.3.pay.charge:2/2 1.3.pay.refund:1/1 1.4.ship.dispatch:2/1 2.1.passthrough:3/2 2.2.book.flight:3/2 2.2.cancel.flight:1/1 2.3.book.hotel:3/2 2.3.cancel.hotel:1/1 2.4.book.car:3/2 2.4.cancel.car:1/1 2.5.itinerary.total:3/2 2.6.stamp:2/1 2.7.stamp:1/1 2.8.stamp:2/1 3.1.claim.intake:2/1 3.3.claim.assess:2/1 3.4.claim.payout:2/1 4.1.fraud.screen:2/1 4.2.fraud.report:2/1 5.1.passthrough:2/4 5.2.passthrough:2/1",
         ],
     );

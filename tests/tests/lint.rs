@@ -9,9 +9,9 @@ use crew_exec::FailurePlan;
 use crew_integration_tests::ExecLog;
 use crew_lint::{is_clean, lint, LintId, Severity};
 use crew_model::{
-    AgentId, BackoffKind, BreakerPolicy, CmpOp, CoordinationSpec, Expr, ItemKey, MutualExclusion,
-    ReexecPolicy, RelativeOrder, RetryPolicy, RollbackDependency, SchemaBuilder, SchemaId,
-    SchemaStep, StepId, StepPolicy, Value, WorkflowPolicy, WorkflowSchema,
+    AgentId, CmpOp, CoordinationSpec, Expr, ItemKey, MutualExclusion, ReexecPolicy, RelativeOrder,
+    RetryPolicy, RollbackDependency, SchemaBuilder, SchemaId, SchemaStep, StepId, StepPolicy,
+    Value, WorkflowSchema,
 };
 use crew_workload::{
     claim_processing, fraud_check, generate, order_processing, travel_booking, GenConfig,
@@ -279,13 +279,8 @@ fn seeded_defects_trigger_expected_lints() {
     };
 
     // Two-step schema with `policy` installed on step A. `comp` gives both
-    // steps a compensation program; `comp_set` wraps them in a dependent
-    // set; `wf` installs a workflow-level policy.
-    let policied = |policy: StepPolicy,
-                    comp: bool,
-                    comp_set: bool,
-                    wf: Option<WorkflowPolicy>|
-     -> WorkflowSchema {
+    // steps a compensation program.
+    let policied = |policy: StepPolicy, comp: bool| -> WorkflowSchema {
         let mut b = SchemaBuilder::new(SchemaId(1), "wf").inputs(1);
         let a = b.add_step("A", "p");
         let c = b.add_step("B", "p");
@@ -295,19 +290,12 @@ fn seeded_defects_trigger_expected_lints() {
                 b.configure(s, |d| d.compensation_program = Some("undo".into()));
             }
         }
-        if comp_set {
-            b.compensation_set([a, c]);
-        }
-        if let Some(w) = wf {
-            b.workflow_policy(w);
-        }
         b.configure(a, |d| d.policy = policy.clone());
         b.build().unwrap()
     };
     let retry = |r: RetryPolicy, idempotent: bool| StepPolicy {
         retry: Some(r),
         idempotent,
-        ..StepPolicy::default()
     };
 
     type Case = (
@@ -505,189 +493,31 @@ fn seeded_defects_trigger_expected_lints() {
         // -- failure-policy soundness (2 seeded specs per defect class) --
         (
             "bounded retry on a bare update step",
-            vec![policied(
-                retry(RetryPolicy::bounded(2), false),
-                false,
-                false,
-                None,
-            )],
+            vec![policied(retry(RetryPolicy::bounded(2), false), false)],
             no_coord(),
             LintId::RetryNonIdempotentWithoutCompensation,
             Severity::Error,
         ),
         (
-            "dead-lettered unbounded retry still lacks idempotence",
-            vec![policied(
-                StepPolicy {
-                    dead_letter: true,
-                    ..retry(RetryPolicy::unbounded(), false)
-                },
-                false,
-                false,
-                None,
-            )],
+            "unbounded retry on a bare update step",
+            vec![policied(retry(RetryPolicy::unbounded(), false), false)],
             no_coord(),
             LintId::RetryNonIdempotentWithoutCompensation,
             Severity::Error,
         ),
         (
-            "retried comp-set member without a workflow failure budget",
-            vec![policied(
-                retry(RetryPolicy::bounded(1), true),
-                true,
-                true,
-                None,
-            )],
-            no_coord(),
-            LintId::RetryInCompSetWithoutSetPolicy,
-            Severity::Error,
-        ),
-        (
-            "comp-set retry with only a dead-letter workflow policy",
-            vec![policied(
-                retry(RetryPolicy::bounded(3), true),
-                true,
-                true,
-                Some(WorkflowPolicy {
-                    max_failures: None,
-                    dead_letter: true,
-                }),
-            )],
-            no_coord(),
-            LintId::RetryInCompSetWithoutSetPolicy,
-            Severity::Error,
-        ),
-        (
-            "unbounded retry with no dead-letter route",
-            vec![policied(
-                retry(RetryPolicy::unbounded(), true),
-                false,
-                false,
-                None,
-            )],
+            "unbounded idempotent retry",
+            vec![policied(retry(RetryPolicy::unbounded(), true), false)],
             no_coord(),
             LintId::UnboundedRetryWithoutDeadLetter,
             Severity::Error,
         ),
         (
-            "unbounded compensatable retry, still no dead letter",
-            vec![policied(
-                retry(RetryPolicy::unbounded(), false),
-                true,
-                false,
-                None,
-            )],
+            "unbounded compensatable retry",
+            vec![policied(retry(RetryPolicy::unbounded(), false), true)],
             no_coord(),
             LintId::UnboundedRetryWithoutDeadLetter,
             Severity::Error,
-        ),
-        (
-            "breaker on a step holding a mutex",
-            vec![
-                policied(
-                    StepPolicy {
-                        breaker: Some(BreakerPolicy {
-                            threshold: 2,
-                            cooldown: 100,
-                        }),
-                        ..StepPolicy::default()
-                    },
-                    false,
-                    false,
-                    None,
-                ),
-                linear(2, 2),
-            ],
-            CoordinationSpec {
-                mutual_exclusions: vec![MutualExclusion {
-                    id: 0,
-                    resource: "dock".into(),
-                    members: vec![ss(1, 1), ss(2, 1)],
-                }],
-                ..CoordinationSpec::default()
-            },
-            LintId::BreakerOnMutexStep,
-            Severity::Warn,
-        ),
-        (
-            "breaker plus retry on a serialized step",
-            vec![
-                policied(
-                    StepPolicy {
-                        breaker: Some(BreakerPolicy {
-                            threshold: 1,
-                            cooldown: 50,
-                        }),
-                        ..retry(RetryPolicy::bounded(2), true)
-                    },
-                    true,
-                    false,
-                    None,
-                ),
-                linear(2, 2),
-            ],
-            CoordinationSpec {
-                mutual_exclusions: vec![MutualExclusion {
-                    id: 0,
-                    resource: "crane".into(),
-                    members: vec![ss(1, 1), ss(2, 2)],
-                }],
-                ..CoordinationSpec::default()
-            },
-            LintId::BreakerOnMutexStep,
-            Severity::Warn,
-        ),
-        (
-            "fixed backoff schedule past the run horizon",
-            vec![policied(
-                retry(
-                    RetryPolicy {
-                        base: 300_000,
-                        ..RetryPolicy::bounded(4)
-                    },
-                    true,
-                ),
-                false,
-                false,
-                None,
-            )],
-            no_coord(),
-            LintId::BackoffOverflowsHorizon,
-            Severity::Error,
-        ),
-        (
-            "exponential backoff wrapping tick arithmetic",
-            vec![policied(
-                retry(
-                    RetryPolicy {
-                        backoff: BackoffKind::Exponential,
-                        base: 7,
-                        ..RetryPolicy::bounded(100)
-                    },
-                    true,
-                ),
-                false,
-                false,
-                None,
-            )],
-            no_coord(),
-            LintId::BackoffOverflowsHorizon,
-            Severity::Error,
-        ),
-        (
-            "dead-letter route with nothing retrying into it",
-            vec![policied(
-                StepPolicy {
-                    dead_letter: true,
-                    ..StepPolicy::default()
-                },
-                false,
-                false,
-                None,
-            )],
-            no_coord(),
-            LintId::DeadLetterWithoutRetry,
-            Severity::Warn,
         ),
     ];
 
@@ -776,8 +606,7 @@ fn deadlock_lint_predicts_runtime_stall() {
     assert_eq!(committed.committed(), 2);
 }
 
-/// A spec the policy pass flags (unbounded retry, no dead-letter route)
-/// really diverges in simnet: a deterministically failing step retries
+/// A spec the policy pass flags (unbounded retry) really diverges in simnet: a deterministically failing step retries
 /// forever and the instance is still live at the bounded horizon. The
 /// lint-clean control — bounded `retry(3)`, idempotent — rides out two
 /// transient failures and commits. Both control architectures.
@@ -800,7 +629,6 @@ fn retry_lint_predicts_runtime_divergence() {
     let flagged_schema = retry_schema(StepPolicy {
         retry: Some(RetryPolicy::unbounded()),
         idempotent: true,
-        ..StepPolicy::default()
     });
     let flagged = lint(
         std::slice::from_ref(&flagged_schema),
@@ -814,7 +642,6 @@ fn retry_lint_predicts_runtime_divergence() {
     let control_schema = retry_schema(StepPolicy {
         retry: Some(RetryPolicy::bounded(3)),
         idempotent: true,
-        ..StepPolicy::default()
     });
     let control = lint(
         std::slice::from_ref(&control_schema),
@@ -865,7 +692,7 @@ fn retry_lint_predicts_runtime_divergence() {
 // ---------------------------------------------------------------------------
 
 /// Every diagnostic the analyzer raises against a `.laws` source —
-/// including all five policy-soundness classes — carries a resolved,
+/// including both policy-soundness classes — carries a resolved,
 /// non-empty source span pointing into the offending declaration.
 #[test]
 fn laws_defect_corpus_spans_are_total() {
@@ -881,18 +708,7 @@ fn laws_defect_corpus_spans_are_total() {
             LintId::RetryNonIdempotentWithoutCompensation,
         ),
         (
-            "retried comp-set member without a failure budget",
-            r#"workflow W (id 1) {
-                inputs 1;
-                step A { program "p"; compensate "u"; policy { retry(1); idempotent; } }
-                step B { program "p"; compensate "u"; }
-                flow A -> B;
-                compensation set { A, B };
-            }"#,
-            LintId::RetryInCompSetWithoutSetPolicy,
-        ),
-        (
-            "unbounded retry without dead letter",
+            "unbounded retry",
             r#"workflow W (id 1) {
                 inputs 1;
                 step A { program "p"; policy { retry(unbounded); idempotent; } }
@@ -900,43 +716,6 @@ fn laws_defect_corpus_spans_are_total() {
                 flow A -> B;
             }"#,
             LintId::UnboundedRetryWithoutDeadLetter,
-        ),
-        (
-            "breaker on a mutex-holding step",
-            r#"workflow W (id 1) {
-                inputs 1;
-                step A { program "p"; policy { breaker(threshold 2, cooldown 100); } }
-                step B { program "p"; }
-                flow A -> B;
-            }
-            workflow V (id 2) {
-                inputs 1;
-                step C { program "p"; }
-            }
-            coordination {
-                mutex "dock" { W.A, V.C };
-            }"#,
-            LintId::BreakerOnMutexStep,
-        ),
-        (
-            "backoff schedule past the run horizon",
-            r#"workflow W (id 1) {
-                inputs 1;
-                step A { program "p"; policy { retry(4, fixed 300000); idempotent; } }
-                step B { program "p"; }
-                flow A -> B;
-            }"#,
-            LintId::BackoffOverflowsHorizon,
-        ),
-        (
-            "dead letter with nothing retrying into it",
-            r#"workflow W (id 1) {
-                inputs 1;
-                step A { program "p"; policy { dead_letter; } }
-                step B { program "p"; }
-                flow A -> B;
-            }"#,
-            LintId::DeadLetterWithoutRetry,
         ),
         (
             "uncompensatable xor branch in a rollback region",
